@@ -76,7 +76,7 @@ from repro.scenarios import (
     scaled_scenario,
     scenario_services,
 )
-from repro.sim import simulate_placement, simulate_placement_fast
+from repro.sim import simulate_placement
 
 __version__ = "1.0.0"
 
@@ -114,7 +114,6 @@ __all__ = [
     "scaled_scenario",
     "scenario_services",
     "simulate_placement",
-    "simulate_placement_fast",
     "FleetController",
     "OpsReport",
     "merge_timeline",

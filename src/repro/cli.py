@@ -738,8 +738,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers", type=int, default=0,
         help="shard the per-interval serving measurement (and replan "
-        "triplet scoring) across N parallel workers; results are "
-        "bit-identical to the serial path (default: 0 = serial)",
+        "triplet scoring) across N worker processes; results are "
+        "bit-identical at any N (default: 0; 0 and 1 both run inline)",
     )
     p.add_argument(
         "--trace", default=None, metavar="FILE",
@@ -826,7 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers", type=int, default=0,
         help="shard the per-interval serving measurement across N "
-        "parallel workers (default: 0 = serial)",
+        "worker processes (default: 0; 0 and 1 both run inline)",
     )
     _add_resilience_flags(p)
     p.set_defaults(func=_cmd_serve)
@@ -846,8 +846,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--workers", type=int, default=0,
-        help="shard segment simulation across N parallel workers "
-        "(fast engine only; bit-identical to serial; default: 0)",
+        help="shard segment simulation across N worker processes "
+        "(fast engine only; bit-identical at any N; default: 0; 0 and 1 "
+        "both run inline)",
     )
     _add_geometry_flag(p)
     p.set_defaults(func=_cmd_simulate)

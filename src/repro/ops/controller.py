@@ -38,7 +38,7 @@ import random
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional, Sequence
 
 from repro.core.allocator import SegmentAllocator
 from repro.core.deployment import DeploymentManager
@@ -77,6 +77,9 @@ from repro.obs import ObsHub
 from repro.ops.report import FailureRecord, IntervalRecord, OpsReport
 from repro.parallel import FaultInjector, ShardHealth
 from repro.profiler.table import ProfileTable
+
+if TYPE_CHECKING:  # imported lazily at runtime, like every repro.sim use here
+    from repro.sim.shard import ShardContext
 
 
 def _record_digest(canonical: str) -> str:
@@ -121,6 +124,8 @@ class _RunState:
     #: serve every Nth interval only (1 = every interval; the
     #: ``--verify-every`` sampling knob for expensive dual replays)
     measure_every: int
+    #: the run's shard pool + segment memo (see _open_shard_context)
+    shard: ShardContext
     #: controller-scheduled events (wave restores): (key, seq, event)
     pending: list[tuple[tuple[float, int, str], int, OpsEvent]] = field(
         default_factory=list
@@ -174,17 +179,14 @@ class FleetController:
         self.spare_shadow_gpus = spare_shadow_gpus
         if workers < 0:
             raise ValueError("workers must be >= 0")
-        #: shard count for the parallel control plane: 0 keeps every
-        #: stage on the serial reference path; N >= 1 fans per-interval
-        #: serving measurement (and, for N > 1, replan triplet scoring)
-        #: across N shards with bit-identical results (repro.sim.shard)
+        #: shard count for the serving measurement: 0 and 1 run the
+        #: single shard inline; N >= 2 fans per-interval measurement and
+        #: replan triplet scoring across N worker processes, with
+        #: bit-identical results at any count (repro.sim.shard)
         self.workers = workers
         #: infrastructure fault-injection hook handed to the shard pool
         #: (tests and the resilience benchmark suite; None in production)
         self.fault_injector = fault_injector
-        #: the run-scoped ShardContext (pool + segment memo); live only
-        #: inside :meth:`run` when ``workers >= 1``
-        self._shard_ctx = None
         #: the last closed run's pool health (what the run survived)
         self.last_shard_health: Optional[ShardHealth] = None
         #: failure event_id -> the GPU id the draw resolved to
@@ -308,18 +310,6 @@ class FleetController:
         )
         self._pending_seq = 0
         self._eid_to_gpu = {}
-        if self.workers >= 1:
-            from repro.sim.shard import ShardContext
-
-            # One context for the whole run: the worker pool spawns once
-            # and the segment memo carries across intervals — an event
-            # only perturbs a handful of services, so most segments
-            # resolve from cache and only the changed ones are shipped.
-            self._shard_ctx = ShardContext(
-                self.workers, fault_injector=self.fault_injector,
-                obs=self.obs,
-            )
-            self.obs.registry.attach("shard", self._shard_ctx.pool.health)
         self._run = _RunState(
             work=work,
             by_id=by_id,
@@ -331,8 +321,25 @@ class FleetController:
             sim_fast=sim_fast,
             check=check,
             measure_every=measure_every,
+            shard=self._open_shard_context(),
         )
         return report
+
+    def _open_shard_context(self) -> ShardContext:
+        """The run's shard pool and segment memo, one per run.
+
+        The worker pool (if ``workers`` >= 2) spawns once, and the memo
+        carries across intervals: an event only perturbs a handful of
+        services, so most segments resolve from cache and only the
+        changed ones are simulated.
+        """
+        from repro.sim.shard import ShardContext
+
+        ctx = ShardContext(
+            self.workers, fault_injector=self.fault_injector, obs=self.obs,
+        )
+        self.obs.registry.attach("shard", ctx.pool.health)
+        return ctx
 
     def _require_run(self) -> _RunState:
         if self._run is None:
@@ -407,6 +414,7 @@ class FleetController:
                     self._measure(
                         record, placement, run.work, run.measure_s,
                         run.warmup_s, run.sim_seed, run.sim_fast,
+                        run.shard,
                     )
                 self._m_stage_wall.observe(sp.wall_s, stage="measure")
             with self.obs.span("report", t_s=t, cat="interval") as sp:
@@ -472,18 +480,16 @@ class FleetController:
         ``self.manager`` until the next :meth:`begin`.
         """
         run = self._require_run()
-        if self._shard_ctx is not None:
-            self.last_shard_health = self._shard_ctx.pool.health
-            self._shard_ctx.close()
-            self._shard_ctx = None
+        self.last_shard_health = run.shard.pool.health
+        run.shard.close()
         self._run = None
         return run.report
 
     def shard_health(self) -> Optional[ShardHealth]:
-        """The shard pool's survival counters — live during a sharded
-        run, the last run's afterwards, None on the serial path."""
-        if self._shard_ctx is not None:
-            return self._shard_ctx.pool.health
+        """The shard pool's survival counters — live during a run, the
+        last run's afterwards, None before the first run."""
+        if self._run is not None:
+            return self._run.shard.pool.health
         return self.last_shard_health
 
     # ------------------------------------------------------------------ #
@@ -635,14 +641,6 @@ class FleetController:
         report = report_from_doc(state["report"])
         # The report describes the *resumed* run from here on.
         report.workers = self.workers
-        if self.workers >= 1:
-            from repro.sim.shard import ShardContext
-
-            self._shard_ctx = ShardContext(
-                self.workers, fault_injector=self.fault_injector,
-                obs=self.obs,
-            )
-            self.obs.registry.attach("shard", self._shard_ctx.pool.health)
         self._run = _RunState(
             work=work,
             by_id=by_id,
@@ -654,6 +652,7 @@ class FleetController:
             sim_fast=run_doc["sim_fast"],
             check=run_doc["check"],
             measure_every=run_doc["measure_every"],
+            shard=self._open_shard_context(),
             pending=pending,
             last_t=run_doc["last_t"],
             steps=run_doc["steps"],
@@ -885,11 +884,7 @@ class FleetController:
             for svc in work:
                 svc.request_rate = max(svc.request_rate, 1e-6)
                 svc.reset_plan()
-            if (
-                self._shard_ctx is not None
-                and self.workers > 1
-                and self.fast_path
-            ):
+            if self.workers > 1 and self.fast_path:
                 # Per-service triplet scoring is independent: fan the
                 # uncached TRIPLETDECISION keys across the shard pool
                 # and seed the memo caches before the serial schedule.
@@ -899,7 +894,7 @@ class FleetController:
                     self.profiles,
                     work,
                     self.scheduler.configurator.max_processes,
-                    self._shard_ctx.pool,
+                    self._require_run().shard.pool,
                 )
             placement = self.scheduler.schedule(work)
             plan = self.manager.deploy(placement)
@@ -1194,7 +1189,10 @@ class FleetController:
         warmup_s: float,
         sim_seed: int,
         sim_fast: bool,
+        shard: ShardContext,
     ) -> None:
+        # Looked up at call time, so patching the module attribute
+        # (perfbench's layer probe) reaches every measurement.
         from repro.sim.runner import measure_interval
 
         m = measure_interval(
@@ -1204,8 +1202,7 @@ class FleetController:
             warmup_s=warmup_s,
             seed=sim_seed,
             fast_path=sim_fast,
-            workers=self.workers if sim_fast else 0,
-            shard_context=self._shard_ctx if sim_fast else None,
+            shard_context=shard if sim_fast else None,
         )
         record.compliance = m.compliance
         record.sim_fingerprint = _record_digest(m.fingerprint)
@@ -1267,9 +1264,8 @@ def run_identity_checked(
     is O(requests) and can dominate large fleets' replay time).
 
     ``workers`` applies to the fast replay only — the naive reference
-    always runs serial, so a nonzero worker count additionally asserts
-    that the sharded parallel control plane matches the serial reference
-    machinery interval-for-interval.
+    always runs inline, so ``workers`` >= 2 additionally asserts that the
+    process fan-out matches the reference machinery interval-for-interval.
 
     ``verify_every=N`` samples the naive replay's *serving measurement*
     to every Nth interval — the event-driven simulator dominates big

@@ -25,10 +25,10 @@ shared fan-out plumbing:
   decision is bit-identical to one the parent would have computed.
 
 Determinism contract: workers never share state, never consume random
-draws, and never influence result order — a sharded run is bit-identical
-to the serial reference for any worker count (guarded by
+draws, and never influence result order — a run is bit-identical to the
+inline one-shard run for any worker count (guarded by
 ``tests/property/test_property_parallel.py`` and the perf harness's
-parallel-vs-serial fingerprint identity check).
+parallel-vs-inline fingerprint identity check).
 
 Crash resilience: :meth:`ShardPool.run` survives worker death.  A
 ``BrokenProcessPool`` (a worker segfaulted, was OOM-killed, or hit a

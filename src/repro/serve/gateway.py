@@ -581,7 +581,7 @@ def replay_identity_checked(
 
     The gateway consumes ``timeline`` through the async loop (with
     ``workers`` sharding its serving measurement); the reference is a
-    plain serial ``FleetController.run`` over the identical timeline.
+    plain inline ``FleetController.run`` over the identical timeline.
     Every interval's placement and simulation fingerprints must match
     exactly or :class:`~repro.ops.controller.OpsIdentityError` is
     raised.  Returns ``(gateway_report, offline_report)``.

@@ -12,9 +12,10 @@ DCGM-style SM-activity telemetry.
 - :mod:`repro.sim.server`   -- segment servers (one per placed partition).
 - :mod:`repro.sim.metrics`  -- latency records, SLO compliance, activity.
 - :mod:`repro.sim.runner`   -- one-call simulation of a placement.
-- :mod:`repro.sim.fastpath` -- batch-granularity fast path (default
-  engine of :func:`simulate_placement`; the event-driven loop stays as
-  the per-request reference).
+- :mod:`repro.sim.fastpath` -- batch-granularity per-segment kernels.
+- :mod:`repro.sim.shard`    -- the columnar, memoized executor running
+  them: the fast path, default engine of :func:`simulate_placement` (the
+  event-driven loop stays as the per-request reference).
 """
 
 from repro.sim.engine import EventQueue
@@ -27,7 +28,6 @@ from repro.sim.runner import (
     measure_interval,
     simulate_placement,
 )
-from repro.sim.fastpath import simulate_placement_fast
 
 __all__ = [
     "EventQueue",
@@ -39,5 +39,4 @@ __all__ = [
     "IntervalMeasurement",
     "measure_interval",
     "simulate_placement",
-    "simulate_placement_fast",
 ]

@@ -1,19 +1,16 @@
-"""Batch-granularity simulation fast path.
+"""Batch-granularity simulation kernels: the fast path's per-segment work.
 
-:func:`repro.sim.runner.simulate_placement` owes its cost to the
-discrete-event engine: one heap event *per request* plus a Python
-callback per arrival/flush/completion.  At fleet scale (S9/S11: a
-thousand services, minutes of traffic) that is tens of millions of heap
-operations — the wall between the scheduler, which PR 2 made fleet-fast,
-and any serving-quality measurement at the same scale.
+The event engine behind ``simulate_placement(fast_path=False)`` owes its
+cost to one heap event *per request* plus a Python callback per
+arrival/flush/completion.  At fleet scale (S9/S11: a thousand services,
+minutes of traffic) that is tens of millions of heap operations.
 
-The fast path exploits a structural fact of
-:func:`~repro.sim.runner.simulate_placement`: segments are independent.
-Each :class:`~repro.sim.server.SegmentServer` owns its queue, executors
-and perf model; segments share only the activity tracker and the report
-aggregation, and both are additive.  So each segment can be simulated to
-completion directly from its pre-generated arrival array with a tight
-per-segment kernel:
+The kernels here exploit a structural fact of that engine: segments are
+independent.  Each :class:`~repro.sim.server.SegmentServer` owns its
+queue, executors and perf model; segments share only the activity
+tracker and the report aggregation, and both are additive.  So each
+segment can be simulated to completion directly from its arrival array
+with a tight per-segment kernel:
 
 - dispatch decisions are derived by *index arithmetic* over the sorted
   arrival array (the queue is always a contiguous window ``A[h:arr]``),
@@ -28,6 +25,11 @@ For arrival arrays where every full batch fills before its flush
 deadline and every batch completes before the next one dispatches (the
 uniform-arrival unsaturated regime), dispatch and completion times
 vectorise in numpy outright — no Python loop at all.
+
+:mod:`repro.sim.shard` is the one executor that runs these kernels: it
+packs segments into columnar shard jobs, resolves unchanged segments
+from its cross-interval memo, and accumulates the results in placement
+order.
 
 The kernel replicates the event engine's semantics decision-for-decision
 (same dispatch times, batch compositions, concurrencies, warmup gating
@@ -45,17 +47,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from heapq import heappush, heappop
-from typing import Iterable
 
 import numpy as np
 
-from repro.core.placement import PlacedSegment, Placement
-from repro.core.service import Service
+from repro.core.placement import PlacedSegment
 from repro.models.perf import PerfModel
 from repro.models.zoo import get_model
-from repro.sim.arrivals import poisson_arrivals, uniform_arrivals
 from repro.sim.batching import BatchPolicy
-from repro.sim.metrics import ServiceStats, SimulationReport
 
 _INF = float("inf")
 
@@ -89,8 +87,8 @@ class _SegmentKernel:
     Built from seven scalar parameters rather than a
     :class:`PlacedSegment` so shard workers (:mod:`repro.sim.shard`) can
     rebuild bit-identical kernels from columnar numpy buffers without
-    pickling placement objects; :meth:`from_segment` derives the
-    parameters exactly as the serial path always did.  The latency/busy
+    pickling placement objects; :meth:`from_segment` derives the same
+    parameters straight from a placed segment.  The latency/busy
     caches memoize the perf-model evaluations the event engine performs
     per dispatch; the model is pure, so cached values are bit-identical
     to fresh calls.
@@ -131,7 +129,7 @@ class _SegmentKernel:
         slo_ms: float,
         sm_count: int | None = None,
     ) -> "_SegmentKernel":
-        """Kernel parameters as the serial fast path derives them.
+        """Kernel parameters as the shard executor packs them.
 
         ``sm_count`` overrides the segment's own compute-unit count with
         the activity tracker's registered value (last register wins when
@@ -368,80 +366,3 @@ def _simulate_segment(
             flush_forced = disp_is_flush
     return out
 
-
-def simulate_placement_fast(
-    placement: Placement,
-    services: Iterable[Service],
-    duration_s: float = 2.0,
-    warmup_s: float = 0.5,
-    seed: int = 0,
-    arrivals: str = "uniform",
-) -> SimulationReport:
-    """Fast-path equivalent of :func:`repro.sim.runner.simulate_placement`.
-
-    Generates each segment's arrival array exactly as the event-driven
-    runner does (same shared rng, same segment order), then runs the
-    per-segment kernel — numpy-vectorized where the regime allows,
-    per-batch scalar otherwise.  ``report.events_processed`` counts
-    kernel steps (dispatches + completions) rather than heap events.
-    """
-    from repro.sim.runner import segment_key
-
-    if duration_s <= warmup_s:
-        raise ValueError("duration must exceed warmup")
-    svc_by_id = {s.id: s for s in services}
-    report = SimulationReport(duration_s=duration_s, warmup_s=warmup_s)
-    for sid, svc in svc_by_id.items():
-        report.services[sid] = ServiceStats(
-            service_id=sid, slo_ms=svc.slo_latency_ms
-        )
-        report.completed[sid] = 0
-
-    rng = np.random.default_rng(seed)
-    until = duration_s + 1.0
-    runs: list[tuple[str, PlacedSegment, np.ndarray]] = []
-    sm_counts: dict[str, int] = {}
-    busy: dict[str, float] = {}
-    for gpu_id, seg in placement.iter_segments():
-        if seg.service_id not in svc_by_id:
-            raise ValueError(
-                f"placement references unknown service {seg.service_id!r}"
-            )
-        key = segment_key(gpu_id, seg.service_id, seg.start)
-        if arrivals == "poisson":
-            times = poisson_arrivals(seg.served_rate, duration_s, rng)
-        elif arrivals == "uniform":
-            times = uniform_arrivals(seg.served_rate, duration_s)
-        else:
-            raise ValueError(f"unknown arrival process {arrivals!r}")
-        runs.append((key, seg, times))
-        # Last register wins, as in SMActivityTracker.register.
-        sm_counts[key] = max(1, round(seg.sm_count))
-        busy.setdefault(key, 0.0)
-
-    steps = 0
-    for key, seg, times in runs:
-        kernel = _SegmentKernel.from_segment(
-            seg, svc_by_id[seg.service_id].slo_latency_ms,
-            sm_count=sm_counts[key],
-        )
-        res = _simulate_segment_vectorized(kernel, times, warmup_s, until)
-        if res is None:
-            res = _simulate_segment(kernel, times, warmup_s, until)
-        st = report.services[seg.service_id]
-        st.batches += res.batches
-        st.violations += res.violations
-        st.requests += res.requests
-        st.latency_sum_ms += res.latency_sum_ms
-        if res.latency_max_ms > st.latency_max_ms:
-            st.latency_max_ms = res.latency_max_ms
-        report.completed[seg.service_id] += res.requests
-        busy[key] += res.busy_sm_s
-        steps += res.steps
-    report.events_processed = steps
-
-    window = duration_s - warmup_s
-    for key, _seg, _times in runs:
-        ratio = busy[key] / (sm_counts[key] * window) if window > 0 else 0.0
-        report.segment_activity[key] = min(1.0, ratio)
-    return report

@@ -58,13 +58,12 @@ def measure_interval(
     warmup_s: float = 0.1,
     seed: int = 0,
     fast_path: bool = True,
-    workers: int = 0,
     shard_context: Optional["ShardContext"] = None,
 ) -> IntervalMeasurement:
     """Serve ``placement`` for ``measure_s`` and distill interval stats.
 
     A thin shim over :func:`simulate_placement` (warmup + measurement
-    window, same engine/sharding switches) that reduces the full
+    window, same engine switch and shard context) that reduces the full
     :class:`~repro.sim.metrics.SimulationReport` to the per-interval
     record the control loops keep: overall + per-tenant compliance and
     the stats fingerprint the identity checks compare.
@@ -76,7 +75,6 @@ def measure_interval(
         warmup_s=warmup_s,
         seed=seed,
         fast_path=fast_path,
-        workers=workers,
         shard_context=shard_context,
     )
     return IntervalMeasurement(
@@ -109,31 +107,25 @@ def simulate_placement(
     ``duration_s`` covers warmup + measurement; statistics (SLO compliance,
     activity, goodput) only count batches dispatched after ``warmup_s``.
 
-    ``fast_path`` (default on) runs the batch-granularity kernel of
+    ``fast_path`` (default on) runs the columnar, memoized executor of
+    :mod:`repro.sim.shard` over the batch-granularity kernels of
     :mod:`repro.sim.fastpath` — identical serving decisions derived by
     index arithmetic over each segment's arrival array, ~``batch_size``×
     fewer iteration steps.  ``fast_path=False`` keeps the per-request
     discrete-event engine as the naive reference (the perf harness checks
     the two against each other on every recorded run).
 
-    ``workers >= 1`` routes the fast path through the sharded parallel
-    executor (:mod:`repro.sim.shard`): segments partition into that many
-    contiguous shards whose results merge back in placement order, so
-    the report is bit-identical to the serial fast path for any worker
-    count (``workers=1`` runs the single shard inline).  A
-    ``shard_context`` (:class:`~repro.sim.shard.ShardContext`) reuses a
-    worker pool and cross-call segment memo between invocations — the
-    FleetController's per-interval measurement loop.  ``workers=0``
-    (default) is the serial reference; sharding requires the fast path.
+    ``workers`` is the fast path's shard count: 0 and 1 run the single
+    shard inline, N >= 2 fans the segments across N worker processes.
+    Results merge back in placement order, so the report is bit-identical
+    for any worker count.  A ``shard_context``
+    (:class:`~repro.sim.shard.ShardContext`) reuses a worker pool and the
+    cross-call segment memo between invocations — the FleetController's
+    per-interval measurement loop.  The event engine takes neither.
     """
     if workers < 0:
         raise ValueError("workers must be >= 0")
-    if (workers >= 1 or shard_context is not None) and not fast_path:
-        raise ValueError(
-            "sharded parallel simulation requires the fast path "
-            "(the event-driven reference stays serial)"
-        )
-    if fast_path and (workers >= 1 or shard_context is not None):
+    if fast_path:
         from repro.sim.shard import simulate_placement_sharded
 
         return simulate_placement_sharded(
@@ -143,19 +135,13 @@ def simulate_placement(
             warmup_s=warmup_s,
             seed=seed,
             arrivals=arrivals,
-            workers=max(1, workers),
+            workers=workers,
             context=shard_context,
         )
-    if fast_path:
-        from repro.sim.fastpath import simulate_placement_fast
-
-        return simulate_placement_fast(
-            placement,
-            services,
-            duration_s=duration_s,
-            warmup_s=warmup_s,
-            seed=seed,
-            arrivals=arrivals,
+    if workers >= 1 or shard_context is not None:
+        raise ValueError(
+            "sharded parallel simulation requires the fast path "
+            "(the event-driven reference stays serial)"
         )
     if duration_s <= warmup_s:
         raise ValueError("duration must exceed warmup")

@@ -1,11 +1,13 @@
-"""Sharded parallel execution of the simulation fast path.
+"""The simulation fast path: one columnar, memoized segment executor.
 
-:func:`simulate_placement_sharded` produces a
-:class:`~repro.sim.metrics.SimulationReport` bit-identical to
-:func:`~repro.sim.fastpath.simulate_placement_fast` — same integer
-statistics, same float sums, same fingerprint — while fanning the
-per-segment kernels across :class:`~repro.parallel.ShardPool` workers.
-Three structural facts make that possible:
+``simulate_placement(fast_path=True)`` runs :func:`simulate_placement_sharded`
+at every worker count: ``workers`` ≤ 1 executes the single shard inline
+through :class:`~repro.parallel.ShardPool`'s inline mode, ``workers`` ≥ 2
+fans the shards across processes.  Both go through the same lookup →
+pack → run → scatter → serial-accumulate code, so the report is
+bit-identical for any worker count.  The per-request event engine
+(``fast_path=False``) stays the only naive reference the identity checks
+compare against.  Three structural facts make the executor exact:
 
 - **Segments are independent.**  Each per-segment kernel is a pure
   function of seven scalar parameters plus its arrival array; segments
@@ -15,9 +17,8 @@ Three structural facts make that possible:
 - **The merge is position-based.**  Shards are contiguous index blocks
   (:func:`~repro.parallel.partition`) and results scatter back into
   their input slots before a single serial accumulation pass in
-  placement order — the exact order the serial fast path sums in, so
-  even order-sensitive float accumulations match bit-for-bit no matter
-  which worker finishes first.
+  placement order, so even order-sensitive float accumulations match
+  bit-for-bit no matter which worker finishes first.
 - **Shard payloads are columnar.**  A :class:`ShardJob` carries the
   kernel parameters as flat numpy arrays plus either per-segment rates
   (uniform arrivals regenerate in the worker —
@@ -27,20 +28,19 @@ Three structural facts make that possible:
   are therefore pre-generated before sharding).  Nothing heavier than
   strings and float64 buffers crosses the process boundary.
 
-The same purity argument yields the sharded path's cross-interval
-**segment memo**: a segment's result is a deterministic function of its
-kernel signature and offered rate, so a :class:`ShardContext` held open
-across a :class:`~repro.ops.controller.FleetController` run resolves
-unchanged segments from cache and ships only the (few) segments an
-event actually touched.  On small hosts this dedup — not core count —
-is where most of the parallel path's wall-clock win comes from; the
-serial path stays the untouched reference the identity checks compare
-against.
+The same purity argument yields the cross-interval **segment memo**: a
+segment's result is a deterministic function of its kernel signature and
+offered rate, so a :class:`ShardContext` held open across a
+:class:`~repro.ops.controller.FleetController` run resolves segments
+unchanged since the previous measurement from cache and simulates only
+the (few) segments an event actually touched.  That dedup, not core
+count, is where most of the fast path's per-interval win comes from, and
+every worker count gets it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -125,6 +125,10 @@ class ShardContext:
     is a pure function of the key — a hit is bit-identical to a fresh
     computation.  Only uniform arrivals are memoizable; Poisson arrivals
     depend on the shared rng stream and always re-simulate.
+
+    Each measurement replaces the memo with the rows it used, so the memo
+    never outgrows the live segment count and a hit always means
+    "unchanged since the previous measurement".
     """
 
     def __init__(
@@ -134,19 +138,18 @@ class ShardContext:
         job_timeout_s: Optional[float] = None,
         obs: Optional[ObsHub] = None,
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = workers
+        if workers < 0:
+            raise ValueError("workers must be >= 0")
+        #: shard count; 0 and 1 both run the single shard inline
+        self.workers = max(1, workers)
         self.obs = obs if obs is not None else ObsHub(enabled=False)
         self.pool = ShardPool(
-            workers,
+            self.workers,
             fault_injector=fault_injector,
             job_timeout_s=job_timeout_s,
             obs=self.obs,
         )
         self.memo: dict[tuple, tuple] = {}
-        self.memo_hits = 0
-        self.memo_misses = 0
 
     def close(self) -> None:
         self.pool.close()
@@ -210,31 +213,29 @@ def simulate_placement_sharded(
     warmup_s: float = 0.5,
     seed: int = 0,
     arrivals: str = "uniform",
-    workers: int = 1,
+    workers: int = 0,
     context: Optional[ShardContext] = None,
 ) -> SimulationReport:
-    """Sharded, memoized equivalent of ``simulate_placement_fast``.
+    """The fast path behind ``simulate_placement(fast_path=True)``.
 
-    ``workers`` is the shard count (1 runs the single shard inline —
-    same code path, no subprocess).  Passing a ``context`` reuses its
-    pool and segment memo across calls (the FleetController's
-    per-interval loop); otherwise an ephemeral context is created and
-    closed before returning.
+    ``workers`` is the shard count (0 or 1 runs the single shard inline,
+    no subprocess).  Passing a ``context`` reuses its pool and segment
+    memo across calls (the FleetController's per-interval loop) and its
+    shard count supersedes ``workers``; otherwise an ephemeral context is
+    created and closed before returning.  ``report.events_processed``
+    counts kernel steps (dispatches + completions) rather than heap
+    events.
     """
-    from repro.sim.runner import segment_key
-
     if duration_s <= warmup_s:
         raise ValueError("duration must exceed warmup")
-    own_context = context is None
-    ctx = ShardContext(workers) if own_context else context
-    try:
+    if context is not None:
         return _simulate_sharded(
-            placement, services, duration_s, warmup_s, seed, arrivals, ctx,
-            segment_key,
+            placement, services, duration_s, warmup_s, seed, arrivals, context
         )
-    finally:
-        if own_context:
-            ctx.close()
+    with ShardContext(workers) as ctx:
+        return _simulate_sharded(
+            placement, services, duration_s, warmup_s, seed, arrivals, ctx
+        )
 
 
 def _simulate_sharded(
@@ -245,8 +246,9 @@ def _simulate_sharded(
     seed: int,
     arrivals: str,
     ctx: ShardContext,
-    segment_key: Callable[[int, str, Optional[int]], str],
 ) -> SimulationReport:
+    from repro.sim.runner import segment_key
+
     svc_by_id = {s.id: s for s in services}
     report = SimulationReport(duration_s=duration_s, warmup_s=warmup_s)
     for sid, svc in svc_by_id.items():
@@ -270,7 +272,7 @@ def _simulate_sharded(
         key = segment_key(gpu_id, seg.service_id, seg.start)
         if arrivals == "poisson":
             # The shared rng advances in placement order, exactly like
-            # the serial paths — generation cannot move into workers.
+            # the event engine — generation cannot move into workers.
             times = poisson_arrivals(seg.served_rate, duration_s, rng)
         elif arrivals == "uniform":
             times = None
@@ -285,28 +287,29 @@ def _simulate_sharded(
     results: list[Optional[tuple]] = [None] * len(runs)
     memo_keys: list[Optional[tuple]] = [None] * len(runs)
     miss_idx: list[int] = []
-    for i, (key, seg, slo_ms, _times) in enumerate(runs):
-        if memoizable:
-            mk = (
-                seg.model,
-                seg.effective_gpcs,
-                seg.batch_size,
-                seg.num_processes,
-                seg.latency_ms,
-                slo_ms,
-                sm_counts[key],
-                seg.served_rate,
-                duration_s,
-                warmup_s,
-            )
-            memo_keys[i] = mk
-            hit = ctx.memo.get(mk)
-            if hit is not None:
-                results[i] = hit
-                ctx.memo_hits += 1
-                continue
-            ctx.memo_misses += 1
-        miss_idx.append(i)
+    with ctx.obs.span("memo", cat="shard", segments=len(runs)) as sp:
+        for i, (key, seg, slo_ms, _times) in enumerate(runs):
+            if memoizable:
+                mk = (
+                    seg.model,
+                    seg.effective_gpcs,
+                    seg.batch_size,
+                    seg.num_processes,
+                    seg.latency_ms,
+                    slo_ms,
+                    sm_counts[key],
+                    seg.served_rate,
+                    duration_s,
+                    warmup_s,
+                )
+                memo_keys[i] = mk
+                hit = ctx.memo.get(mk)
+                if hit is not None:
+                    results[i] = hit
+                    continue
+            miss_idx.append(i)
+        sp.args["hits"] = len(runs) - len(miss_idx)
+        sp.args["misses"] = len(miss_idx)
 
     if miss_idx:
         jobs = []
@@ -324,9 +327,7 @@ def _simulate_sharded(
                 _pack_job(block, arrivals, duration_s, warmup_s, until)
             )
         with ctx.obs.span(
-            "scatter", cat="shard",
-            shards=len(jobs), segments=len(miss_idx),
-            memo_hits=len(runs) - len(miss_idx),
+            "scatter", cat="shard", shards=len(jobs), segments=len(miss_idx),
         ):
             rows_per_shard = ctx.pool.run(_run_shard, jobs)
         with ctx.obs.span("gather", cat="shard", shards=len(jobs)):
@@ -341,11 +342,13 @@ def _simulate_sharded(
                     )
                     cursor += 1
 
+    # The next call's memo holds exactly the rows this one used.
+    memo: dict[tuple, tuple] = {}
     steps = 0
     for i, (key, seg, slo_ms, _times) in enumerate(runs):
         row = results[i]
         if memoizable:
-            ctx.memo[memo_keys[i]] = row
+            memo[memo_keys[i]] = row
         batches, violations, requests, lat_sum, lat_max, busy_sm, n_steps = row
         st = report.services[seg.service_id]
         st.batches += int(batches)
@@ -357,6 +360,7 @@ def _simulate_sharded(
         report.completed[seg.service_id] += int(requests)
         busy[key] += busy_sm
         steps += int(n_steps)
+    ctx.memo = memo
     report.events_processed = steps
 
     window = duration_s - warmup_s

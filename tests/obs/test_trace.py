@@ -2,8 +2,10 @@
 
 import json
 
+from repro.core.service import Service
 from repro.obs import ObsHub, Tracer
 from repro.ops import FleetController
+from repro.ops.events import RateEpoch
 from repro.scenarios.ops import OPS_SEED, ops_run
 
 
@@ -112,6 +114,33 @@ class TestReplayIdentity:
     def test_offline_wall_sidecars_are_zero(self, tmp_path):
         ctrl, _ = _traced_run(tmp_path, "t.json")
         assert all(sp.wall_s == 0.0 for sp in ctrl.obs.tracer.spans)
+
+
+class TestMemoSpans:
+    def test_every_measurement_records_memo_hits(self, profiles):
+        """An unchanged rate leaves every segment as it was, so the
+        second interval is all memo hits: it simulates nothing and has
+        no scatter span, but its memo span still records the hits."""
+        services = [
+            Service("a", "resnet-50", slo_latency_ms=250, request_rate=2000),
+            Service("b", "mobilenetv2", slo_latency_ms=150, request_rate=4000),
+        ]
+        ctrl = FleetController(profiles)
+        ctrl.run(
+            services,
+            [RateEpoch(time_s=50.0, service_id="a", rate=2000.0)],
+            horizon_s=100.0,
+            measure_s=0.05,
+        )
+        spans = ctrl.obs.tracer.spans
+        cold, warm = (sp for sp in spans if sp.name == "memo")
+        n = cold.args["segments"]
+        assert n > 0
+        assert (cold.args["hits"], cold.args["misses"]) == (0, n)
+        assert warm.args == {"segments": n, "hits": n, "misses": 0}
+        assert warm.t0_s == 50.0
+        assert spans[warm.parent].name == "measure"
+        assert [sp.t0_s for sp in spans if sp.name == "scatter"] == [0.0]
 
 
 class TestHubWiring:

@@ -56,6 +56,19 @@ class TestBootstrapAndRates:
         report = controller(profiles).run(services, timeline, horizon_s=100.0)
         assert report.intervals[1].reconfig_ops == 0
 
+    def test_segment_memo_bounded_by_live_segments(self, profiles, services):
+        """Every rate epoch mints fresh memo keys; the memo keeps only the
+        rows the latest measurement used, so it never outgrows the fleet."""
+        ctrl = controller(profiles)
+        ctrl.begin(services, horizon_s=1000.0, measure_s=0.05)
+        for i in range(25):
+            t = 10.0 * i
+            ctrl.step(t, [RateEpoch(time_s=t, service_id="a",
+                                    rate=2000.0 + 40.0 * i)] if i else [])
+            live = sum(1 for _ in ctrl.manager.current.iter_segments())
+            assert len(ctrl._run.shard.memo) <= live
+        ctrl.finish()
+
     def test_bootstrap_records_work_but_no_downtime(self, profiles, services):
         """Initial deployment precedes serving: setup work is priced, but
         no tenant was interrupted — downtime starts at zero."""

@@ -1,12 +1,13 @@
-"""Property: the sharded parallel simulation is bit-identical to serial.
+"""Property: the fast path is bit-identical at every shard count.
 
-The shard executor (:mod:`repro.sim.shard`) exists purely to spread the
-per-interval serving measurement across worker processes — merge order
-is fixed to placement order regardless of worker completion order, so
-*every* statistic (not just the exact-integer fingerprint fields: the
+The shard executor (:mod:`repro.sim.shard`) runs the fast path inline
+(``workers`` 0 or 1) or across worker processes — merge order is fixed
+to placement order regardless of worker completion order, so *every*
+statistic (not just the exact-integer fingerprint fields: the
 order-sensitive float sums too) must come out bit-identical to the
-serial fast path for any shard count, on any geometry, saturated or not.
-The placement itself must come back untouched byte-for-byte.
+inline run for any shard count, on any geometry, saturated or not, and a
+warm segment memo must match a cold context.  The placement itself must
+come back untouched byte-for-byte.
 """
 
 import os
@@ -20,6 +21,7 @@ from repro.core.parvagpu import ParvaGPU
 from repro.core.placement import PlacedSegment, Placement
 from repro.core.service import Service
 from repro.gpu.geometry import get_geometry
+from repro.obs import ObsHub
 from repro.profiler import profile_workloads
 from repro.scenarios.fleet import fleet_services
 from repro.sim import simulate_placement
@@ -146,27 +148,52 @@ def test_every_shard_count_on_scheduled_fleets(geometry, rate_scale):
     assert placement.fingerprint() == before
 
 
+def _memo_spans(ctx):
+    return [sp.args for sp in ctx.obs.tracer.spans if sp.name == "memo"]
+
+
+def _check_context_reuse(workers):
+    services, placement = _scheduled_fleet("mig", 1.0)
+    # a renegotiated SLO re-keys exactly that service's segments
+    changed = [
+        Service(s.id, s.model, slo_latency_ms=s.slo_latency_ms * 2,
+                request_rate=s.request_rate) if i == 0 else s
+        for i, s in enumerate(services)
+    ]
+    kwargs = dict(duration_s=1.0, warmup_s=0.2, seed=3)
+    cold = simulate_placement(placement, services, **kwargs)
+    cold_changed = simulate_placement(placement, changed, **kwargs)
+    with ShardContext(workers=workers, obs=ObsHub()) as ctx:
+        first = simulate_placement(
+            placement, services, shard_context=ctx, **kwargs
+        )
+        again = simulate_placement(
+            placement, services, shard_context=ctx, **kwargs
+        )
+        partial = simulate_placement(
+            placement, changed, shard_context=ctx, **kwargs
+        )
+        first_memo, again_memo, partial_memo = _memo_spans(ctx)
+    n = first_memo["segments"]
+    assert (first_memo["hits"], first_memo["misses"]) == (0, n)
+    assert (again_memo["hits"], again_memo["misses"]) == (n, 0)
+    assert 0 < partial_memo["hits"] < n
+    assert partial_memo["hits"] + partial_memo["misses"] == n
+    assert_bit_identical(first, cold)
+    assert_bit_identical(again, cold)
+    assert_bit_identical(partial, cold_changed)
+
+
 def test_context_reuse_keeps_identity():
     """A reused ShardContext (the controller's usage: pool + cross-call
     memo) must return bit-identical reports on repeated and on changed
     calls — memo hits included."""
-    services, placement = _scheduled_fleet("mig", 1.0)
-    serial = simulate_placement(
-        placement, services, duration_s=1.0, warmup_s=0.2, seed=3
-    )
-    with ShardContext(workers=2) as ctx:
-        first = simulate_placement(
-            placement, services, duration_s=1.0, warmup_s=0.2, seed=3,
-            shard_context=ctx,
-        )
-        assert ctx.memo_misses > 0
-        again = simulate_placement(
-            placement, services, duration_s=1.0, warmup_s=0.2, seed=3,
-            shard_context=ctx,
-        )
-        assert ctx.memo_hits > 0
-    assert_bit_identical(first, serial)
-    assert_bit_identical(again, serial)
+    _check_context_reuse(workers=2)
+
+
+def test_context_reuse_keeps_identity_inline():
+    """The same memo contract holds when the context runs inline."""
+    _check_context_reuse(workers=0)
 
 
 def test_workers_require_fast_path():

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.placement import PlacedSegment, Placement
 from repro.core.service import Service
-from repro.sim import simulate_placement, simulate_placement_fast
+from repro.sim import simulate_placement
 from repro.sim.fastpath import (
     _SegmentKernel,
     _simulate_segment,
@@ -133,25 +133,28 @@ class TestIdentity:
     def test_default_engine_is_fast(self):
         p = one_segment()
         default = simulate_placement(p, [service()])
-        fast = simulate_placement_fast(p, [service()])
+        fast, ref = both(p, [service()])
         assert default.fingerprint() == fast.fingerprint()
+        # kernel steps, not per-request heap events
+        assert default.events_processed == fast.events_processed
+        assert default.events_processed < ref.events_processed
 
 
 class TestValidation:
     def test_bad_duration(self):
         with pytest.raises(ValueError):
-            simulate_placement_fast(
+            simulate_placement(
                 one_segment(), [service()], duration_s=0.2, warmup_s=0.5
             )
 
     def test_unknown_service(self):
         other = Service("x", "vgg-16", slo_latency_ms=100, request_rate=10)
         with pytest.raises(ValueError):
-            simulate_placement_fast(one_segment(), [other])
+            simulate_placement(one_segment(), [other])
 
     def test_unknown_arrivals(self):
         with pytest.raises(ValueError):
-            simulate_placement_fast(
+            simulate_placement(
                 one_segment(), [service()], arrivals="bursty"
             )
 
