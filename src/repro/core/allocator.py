@@ -74,6 +74,11 @@ class _GPUState:
     ``first_free_slot``), it stays empty so placement assembly drops it,
     but its presence keeps the allocator's fresh-GPU id counter above
     the dead device's id.
+
+    ``plan`` caches the :class:`GPUPlan` this state last rendered to (or
+    was rebuilt from).  Every mutation clears it, so a long-lived state
+    whose ``plan`` is still set is known to match that plan exactly —
+    the incremental re-plan reuses such plans instead of re-rendering.
     """
 
     gpu_id: int
@@ -81,6 +86,7 @@ class _GPUState:
     layout: PartitionLayout = None  # type: ignore[assignment]
     placed: list[tuple[Segment, int]] = field(default_factory=list)
     blocked: bool = False
+    plan: Optional[GPUPlan] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.layout is None:
@@ -120,13 +126,21 @@ class _GPUState:
             return None
         self.layout.add(self.geometry.place(seg.instance_size, start))
         self.placed.append((seg, start))
+        self.plan = None
         return start
+
+    def remove(self, seg: Segment, start: int) -> None:
+        """Take one placed segment off this GPU."""
+        self.placed.remove((seg, start))
+        self.layout.remove(self.geometry.place(seg.instance_size, start))
+        self.plan = None
 
     def free_all(self) -> list[Segment]:
         """Drain every segment, returning them."""
         segs = [s for s, _ in self.placed]
         self.placed.clear()
         self.layout = PartitionLayout(self.geometry)
+        self.plan = None
         return segs
 
 
@@ -137,10 +151,13 @@ def states_from_placement(
 ) -> list[_GPUState]:
     """Rebuild allocator build-state from a live deployment map.
 
-    Shared by the SIII-F SLO-update path and failover: each plan's state
-    carries the plan's own geometry, so incremental re-planning on
-    MI300X or mixed placements replays the correct placement rules.
+    The one naive rebuild: it seeds the deployment manager's persistent
+    state, and the rebuild-per-event reference path and the per-step
+    state check run on it.  Each plan's state carries the plan's own
+    geometry, so incremental re-planning on MI300X or mixed placements
+    replays the correct placement rules.
     Segments of ``exclude_service`` are omitted (they are being re-planned).
+    A state that kept every segment of its plan caches that plan.
     """
     from repro.gpu.geometry import get_geometry
 
@@ -149,9 +166,10 @@ def states_from_placement(
         if skip_gpu is not None and plan.gpu_id == skip_gpu:
             continue
         geometry = get_geometry(plan.geometry)
-        state = _GPUState(gpu_id=plan.gpu_id, geometry=geometry)
+        state = _GPUState(gpu_id=plan.gpu_id, geometry=geometry, plan=plan)
         for seg in plan.segments:
             if exclude_service is not None and seg.service_id == exclude_service:
+                state.plan = None
                 continue
             state.layout.add(geometry.place(int(seg.gpcs), seg.start))
             state.placed.append(
@@ -208,13 +226,7 @@ class SegmentAllocator:
     # ------------------------------------------------------------------ #
 
     def make_index(self, gpus: list[_GPUState]) -> Optional[SlotIndex]:
-        """A slot index over ``gpus`` (None when running unindexed).
-
-        Incremental callers — the SIII-F SLO-update path and failover —
-        rebuild allocator state with :func:`states_from_placement` and
-        then index it once here, sharing the index across their
-        relocation and optimization calls.
-        """
+        """A slot index over ``gpus`` (None when running unindexed)."""
         return SlotIndex(gpus) if self.indexed else None
 
     def allocate(self, services: Sequence[Service]) -> Placement:
@@ -321,10 +333,7 @@ class SegmentAllocator:
                 if index is not None:
                     moved = index.place(seg, limit=gi, interleave=True)
                     if moved is not None:
-                        state.placed.remove((seg, start))
-                        state.layout.remove(
-                            state.geometry.place(seg.instance_size, start)
-                        )
+                        state.remove(seg, start)
                         index.touch(gi)
                     continue
                 for earlier in gpus[:gi]:
@@ -332,10 +341,7 @@ class SegmentAllocator:
                         earlier.try_place(seg) is not None
                         or earlier.try_place(seg, fallback=True) is not None
                     ):
-                        state.placed.remove((seg, start))
-                        state.layout.remove(
-                            state.geometry.place(seg.instance_size, start)
-                        )
+                        state.remove(seg, start)
                         break
 
     # ------------------------------------------------------------------ #
@@ -456,25 +462,32 @@ class SegmentAllocator:
         segments still match the running cluster instance-for-instance.
         """
         placement = Placement(framework="parvagpu")
-        for state in gpus:
-            if state.is_empty:
-                continue
-            plan = GPUPlan(gpu_id=state.gpu_id, geometry=state.geometry.name)
-            for seg, start in state.placed:
-                plan.segments.append(
-                    PlacedSegment(
-                        service_id=seg.service_id,
-                        model=seg.model,
-                        kind=state.geometry.kind,
-                        gpcs=float(seg.instance_size),
-                        batch_size=seg.batch_size,
-                        num_processes=seg.num_processes,
-                        capacity=seg.throughput,
-                        latency_ms=seg.latency_ms,
-                        sm_activity=seg.sm_activity,
-                        start=start,
-                        geometry=state.geometry.name,
-                    )
-                )
-            placement.gpus.append(plan)
+        placement.gpus = [
+            render_plan(state) for state in gpus if not state.is_empty
+        ]
         return placement
+
+
+def render_plan(state: _GPUState) -> GPUPlan:
+    """One GPU's build state as a fresh plan (routed rates still zero)."""
+    geometry = state.geometry
+    return GPUPlan(
+        gpu_id=state.gpu_id,
+        geometry=geometry.name,
+        segments=[
+            PlacedSegment(
+                service_id=seg.service_id,
+                model=seg.model,
+                kind=geometry.kind,
+                gpcs=float(seg.instance_size),
+                batch_size=seg.batch_size,
+                num_processes=seg.num_processes,
+                capacity=seg.throughput,
+                latency_ms=seg.latency_ms,
+                sm_activity=seg.sm_activity,
+                start=start,
+                geometry=geometry.name,
+            )
+            for seg, start in state.placed
+        ],
+    )

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.core.allocator import SegmentAllocator, _GPUState
 from repro.core.deployment import DeploymentManager
 from repro.core.placement import Placement
 from repro.core.segments import Segment
@@ -116,33 +115,25 @@ class FailoverController:
             )
 
         # Retire the victim first: its id must stay reserved (a blocked
-        # sentinel in the build state) so relocation can neither place on
-        # the dead device nor hand its id to a fresh GPU.  Then rebuild
-        # allocator state from every *surviving* GPU (plus any registered
-        # spares), each under its own geometry, and index the survivors'
-        # free slots once.
-        self.manager.retired_gpus[gpu_id] = victim.geometry
-        gpus: list[_GPUState] = self.manager.build_states(skip_gpu=gpu_id)
-
-        allocator = SegmentAllocator(
-            optimize=self.optimize, geometry=victim_geometry,
-            indexed=self.fast_path,
-        )
-        index = allocator.make_index(gpus)
-        queues = allocator._new_queues(victim_geometry.instance_sizes)
-        for seg in lost_segments:
-            allocator._enqueue(queues, seg)
-        allocator._allocation(queues, gpus, victim_geometry, index=index)
-        if self.optimize:
-            gpus = allocator.allocation_optimization(
-                gpus, list(services), index=index
-            )
-
-        placement = allocator._to_placement(gpus)
-        placement.framework = current.framework
-        placement.assign_rates({s.id: s.request_rate for s in services})
+        # sentinel in the allocator state) so relocation can neither place
+        # on the dead device nor hand its id to a fresh GPU.  The fast path
+        # patches the manager's persistent state; the naive reference
+        # rebuilds it from every *surviving* GPU (plus any registered
+        # spares), each under its own geometry.
         gpus_before = current.num_gpus
-        plan = self.manager.deploy(placement)
+        self.manager.retired_gpus[gpu_id] = victim.geometry
+        try:
+            placement, plan = self.manager.replan(
+                services,
+                segments=lost_segments,
+                geometry=victim_geometry,
+                skip_gpu=gpu_id,
+                optimize=self.optimize,
+                fast_path=self.fast_path,
+            )
+        except BaseException:
+            del self.manager.retired_gpus[gpu_id]
+            raise
         return FailoverResult(
             failed_gpu=gpu_id,
             affected_services=tuple(sorted(lost)),

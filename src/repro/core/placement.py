@@ -119,6 +119,27 @@ class GPUPlan:
     def is_empty(self) -> bool:
         return not self.segments
 
+    def instance_specs(self) -> list[InstanceSpec]:
+        """This GPU's slotted partitions as cluster instance specs."""
+        specs: list[InstanceSpec] = []
+        for seg in self.segments:
+            if seg.kind not in ("mig", "xcd"):
+                raise ValueError(
+                    "only slotted (MIG/XCD) placements deploy to clusters"
+                )
+            specs.append(
+                InstanceSpec(
+                    gpu_id=self.gpu_id,
+                    size=int(seg.gpcs),
+                    start=seg.start,  # type: ignore[arg-type]
+                    owner=seg.service_id,
+                    num_processes=seg.num_processes,
+                    batch_size=seg.batch_size,
+                    geometry=seg.geometry,
+                )
+            )
+        return specs
+
     def validate(self) -> None:
         """Check partition legality / MPS quota on this GPU."""
         geo = get_geometry(self.geometry)
@@ -304,24 +325,7 @@ class Placement:
 
     def to_instance_specs(self) -> list[InstanceSpec]:
         """Slotted deployments as cluster instance specs (SIII-F)."""
-        specs: list[InstanceSpec] = []
-        for gpu_id, seg in self.iter_segments():
-            if seg.kind not in ("mig", "xcd"):
-                raise ValueError(
-                    "only slotted (MIG/XCD) placements deploy to clusters"
-                )
-            specs.append(
-                InstanceSpec(
-                    gpu_id=gpu_id,
-                    size=int(seg.gpcs),
-                    start=seg.start,  # type: ignore[arg-type]
-                    owner=seg.service_id,
-                    num_processes=seg.num_processes,
-                    batch_size=seg.batch_size,
-                    geometry=seg.geometry,
-                )
-            )
-        return specs
+        return [spec for g in self.gpus for spec in g.instance_specs()]
 
 
 def merge_gpu_plans(framework: str, plans: Iterable[GPUPlan]) -> Placement:

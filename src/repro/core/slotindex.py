@@ -46,11 +46,16 @@ _Key = tuple[str, int, bool]
 
 
 class SlotIndex:
-    """Candidate-GPU index over a (shared, append-only) ``_GPUState`` list.
+    """Candidate-GPU index over a shared ``_GPUState`` list.
 
     The allocator keeps appending to the same list object; ``sync`` picks
-    up the new tail.  Positions are stable because GPUs are never removed
-    from the list (empty states are dropped only at placement assembly).
+    up the new tail.  The index may outlive one allocation: the
+    deployment manager keeps it alive across incremental re-plans while
+    it drops emptied GPUs from the list and rebuilds the spare tail.
+    Whoever changes which state sits at a position calls ``reindex``
+    from the first such position; entries left behind for positions past
+    the list's end, or for a previous occupant, are candidates like any
+    other and are validated (and discarded) lazily at query time.
     """
 
     def __init__(self, gpus: list["_GPUState"]) -> None:
@@ -89,6 +94,12 @@ class SlotIndex:
             for fallback in (False, True):
                 self._push((geometry.name, size, fallback), pos)
 
+    def reindex(self, pos: int) -> None:
+        """Re-register every position from ``pos`` on: their occupants
+        changed (the list was compacted, truncated or re-extended)."""
+        self._known = min(self._known, pos)
+        self.sync()
+
     def rebuild(self) -> None:
         """Drop everything and re-index the whole list from scratch."""
         self._heaps.clear()
@@ -118,18 +129,25 @@ class SlotIndex:
         ``limit`` restricts the answer to positions strictly below it.
         Infeasible heap heads are popped for good (feasibility only
         returns via ``touch``); a feasible head at/beyond ``limit`` stays.
+        A head past the list's end or now held by a GPU of another
+        geometry is infeasible too.
         """
         key = (geometry_name, size, fallback)
         heap = self._heaps.get(key)
         if not heap:
             return None
         members = self._members[key]
+        gpus = self._gpus
         while heap:
             pos = heap[0]
-            if self._gpus[pos].has_free_slot(size, fallback=fallback):
-                if limit is not None and pos >= limit:
-                    return None
-                return pos
+            if pos < len(gpus):
+                state = gpus[pos]
+                if state.geometry.name == geometry_name and state.has_free_slot(
+                    size, fallback=fallback
+                ):
+                    if limit is not None and pos >= limit:
+                        return None
+                    return pos
             heapq.heappop(heap)
             members.discard(pos)
         return None

@@ -14,7 +14,7 @@ placement is unchanged are not disturbed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 from repro.gpu.geometry import PartitionGeometry
 from repro.gpu.gpu import GPU, GPUError, Instance
@@ -140,7 +140,9 @@ class Cluster:
         return created
 
     def plan_reconfiguration(
-        self, target: Iterable[InstanceSpec]
+        self,
+        target: Iterable[InstanceSpec],
+        gpu_ids: Optional[Collection[int]] = None,
     ) -> ReconfigurationPlan:
         """Diff running instances against ``target`` (SIII-F update path).
 
@@ -148,6 +150,10 @@ class Cluster:
         stay untouched; everything else is destroyed/created.  The paper
         keeps unchanged services live during reconfiguration, so minimizing
         the diff minimizes service disruption.
+
+        ``gpu_ids`` restricts the diff to those GPUs: ``target`` then
+        holds their specs only, and every other GPU is left out of the
+        plan (its instances are neither destroyed nor listed unchanged).
         """
         plan = ReconfigurationPlan()
         target = list(target)
@@ -156,7 +162,12 @@ class Cluster:
         for spec in target:
             running[(spec.gpu_id, spec.start, spec.size, spec.owner)] = spec
 
-        for g in self._gpus:
+        gpus = (
+            self._gpus
+            if gpu_ids is None
+            else [self._gpus[i] for i in sorted(gpu_ids) if i < len(self._gpus)]
+        )
+        for g in gpus:
             for inst in g.instances:
                 key = (g.gpu_id, inst.start, inst.size, inst.owner or "")
                 if key in running and key not in matched:

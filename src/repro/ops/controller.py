@@ -17,8 +17,9 @@ Two identity checks guard every run:
   interval the placement must survive
   ``build_states() -> _to_placement() -> assign_rates()`` byte-identically
   — incremental bookkeeping (spares, preserved GPU ids, partial updates)
-  cannot have corrupted the map — and the live cluster's instances must
-  mirror the map exactly;
+  cannot have corrupted the map — the deployment manager's persistent
+  allocator state must equal that from-scratch rebuild state for state,
+  and the live cluster's instances must mirror the map exactly;
 - **fast vs naive replay** (:func:`run_identity_checked`): the same
   timeline replayed from scratch on the naive reference machinery
   (unindexed allocator, unmemoized configurator, per-request event-driven
@@ -1005,7 +1006,9 @@ class FleetController:
         if isinstance(e, ServiceDeparture):
             if not self._apply_to_state(e, work, by_id):
                 return False, None, 0
-            _, plan = self.manager.remove_service(work, e.service_id)
+            _, plan = self.manager.remove_service(
+                work, e.service_id, fast_path=self.fast_path
+            )
             return True, price_plan(plan), plan.num_operations
         if isinstance(e, ServiceArrival):
             if not self._apply_to_state(e, work, by_id):
@@ -1154,12 +1157,19 @@ class FleetController:
     # ------------------------------------------------------------------ #
 
     def _check_state(self, work: Sequence[Service]) -> None:
-        """The per-interval round-trip + cluster-mirror identity check."""
+        """The per-interval round-trip + cluster-mirror identity check.
+
+        The from-scratch rebuild of the allocator state also pins the
+        persistent state the fast path patches: it must equal the
+        rebuild's live part, state for state.
+        """
         placement = self.manager.current
         fp = placement.fingerprint()
-        rebuilt = SegmentAllocator(geometry=self.geometry)._to_placement(
-            self.manager.build_states()
-        )
+        states = self.manager.build_states()
+        problem = self.manager.live_state_mismatch(states)
+        if problem is not None:
+            raise OpsIdentityError(problem)
+        rebuilt = SegmentAllocator(geometry=self.geometry)._to_placement(states)
         rebuilt.framework = placement.framework
         rebuilt.assign_rates({s.id: s.request_rate for s in work})
         if rebuilt.fingerprint() != fp:

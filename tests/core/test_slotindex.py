@@ -162,3 +162,41 @@ class TestSlotIndex:
             if step % 25 == 0:
                 _assert_matches_naive(index, gpus, geometry)
         _assert_matches_naive(index, gpus, geometry)
+
+    def test_reindex_after_list_surgery_matches_naive(self):
+        """A long-lived index: the list is compacted, truncated and
+        re-extended (with GPUs of another geometry landing on old
+        positions); ``reindex`` from the first changed position keeps
+        every query equal to the linear scan, stale entries included."""
+        rng = random.Random(99)
+        gpus = [_GPUState(gpu_id=i) for i in range(6)]
+        index = SlotIndex(gpus)
+        next_id = 6
+        for step in range(200):
+            op = rng.random()
+            geometry = rng.choice([MIG, MI300X])
+            if op < 0.5:
+                index.place(_segment(rng.choice(geometry.instance_sizes),
+                                     geometry=geometry))
+            elif op < 0.7 and gpus:  # drop the empty states, as a commit does
+                kept = [s for s in gpus if s.placed]
+                first = next(
+                    (i for i, (a, b) in enumerate(zip(gpus, kept)) if a is not b),
+                    len(kept),
+                )
+                gpus[:] = kept
+                index.reindex(first)
+            elif op < 0.85 and gpus:  # delete one position outright
+                pos = rng.randrange(len(gpus))
+                del gpus[pos]
+                index.reindex(pos)
+            else:  # a tail of fresh GPUs, any geometry
+                for _ in range(rng.randint(1, 3)):
+                    gpus.append(_GPUState(
+                        gpu_id=next_id, geometry=rng.choice([MIG, MI300X])
+                    ))
+                    next_id += 1
+                index.sync()
+            if step % 10 == 0:
+                _assert_matches_naive(index, gpus, MIG)
+                _assert_matches_naive(index, gpus, MI300X)
