@@ -10,18 +10,19 @@ Two suites, selected with ``--suite``:
   services, with the naive reference path.  Every fast/naive pair is
   checked for byte-identical placements; wall-clocks, GPU counts, and
   speedups land in ``BENCH_schedule.json``.  The S10 pass drives a
-  phase-shifted diurnal fleet through the autoscaler's SIII-F
-  incremental path.
+  phase-shifted diurnal fleet through ``FleetController``'s SIII-F
+  incremental path, one interval per trace epoch (the row keeps its
+  historical ``"autoscaler"`` key and ``--autoscaler-*`` flags).
 
 - ``simulate``: *serves* high-rate fleets of 100/1000 services on each
   geometry through the batch-granularity simulation fast path and, up
   to ``--naive-cap`` services, through the per-request event-driven
   reference engine — every recorded fast/reference pair must pass the
   stats-fingerprint identity check (exact integer statistics + float
-  sums within 1e-9).  The S10 pass measures per-epoch SLO compliance
-  through the autoscaler's trace run; the S11 pass replays the
-  million-request fleet, which only the fast path can execute in
-  reasonable time.  Results land in ``BENCH_simulate.json``.
+  sums within 1e-9).  The S10 pass measures per-interval SLO
+  compliance of the same FleetController trace run; the S11 pass
+  replays the million-request fleet, which only the fast path can
+  execute in reasonable time.  Results land in ``BENCH_simulate.json``.
 
 - ``ops``: drives 100/1000-service fleets through one simulated day of
   fleet operations (MTBF failures + repairs, spot preemption/restore
@@ -95,7 +96,6 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.core.autoscaler import Autoscaler  # noqa: E402
 from repro.core.hetero import make_mixed_scheduler  # noqa: E402
 from repro.core.parvagpu import ParvaGPU  # noqa: E402
 from repro.gpu.geometry import get_geometry  # noqa: E402
@@ -250,42 +250,56 @@ def run_fleet_sweep(tiers, geometries, naive_cap):
 
 
 def run_autoscaler_trace(num_services, epochs, measure_s=0.0):
-    """The S10 pass: a diurnal fleet through the SIII-F incremental path.
+    """The S10 pass: a diurnal fleet through FleetController's SIII-F
+    incremental path, one interval per trace epoch.
 
-    With ``measure_s > 0`` every epoch's deployment is additionally
+    With ``measure_s > 0`` every interval's deployment is additionally
     served for that long in the simulation fast path and the mean
-    measured SLO compliance is recorded.
+    measured SLO compliance (unweighted, over intervals) is recorded.
     """
+    from repro.ops import FleetController
+    from repro.ops.chaos import rate_epochs
+
     services = fleet_services(num_services)
-    traces = fleet_traces(services, epochs=epochs)
-    scaler = Autoscaler(profile_workloads())
+    timeline = rate_epochs(fleet_traces(services, epochs=epochs))
+    controller = FleetController(profile_workloads(), spare_shadow_gpus=2)
     t0 = time.perf_counter()
-    report = scaler.run(services, traces, measure_s=measure_s)
+    report = controller.run(
+        services,
+        timeline,
+        horizon_s=max(e.time_s for e in timeline) + 1.0,
+        measure_s=measure_s,
+        warmup_s=0.0,
+        sim_seed=0,
+    )
     wall = time.perf_counter() - t0
+    intervals = report.intervals
+    measured = [r.compliance for r in intervals if r.compliance is not None]
+    mean_compliance = sum(measured) / len(measured) if measured else None
     row = {
         "scenario": "S10",
         "services": num_services,
         "trace_epochs": epochs,
-        "steps": len(report.steps),
+        "steps": len(intervals),
         "wall_s": round(wall, 6),
         "peak_gpus": report.peak_gpus,
-        "mean_gpus": round(report.mean_gpus, 2),
+        "mean_gpus": round(
+            sum(r.num_gpus for r in intervals) / len(intervals), 2
+        ),
         "reconfig_ops": report.total_reconfig_ops,
         "measure_s": measure_s,
         "mean_compliance": (
-            None
-            if report.mean_compliance is None
-            else round(report.mean_compliance, 6)
+            None if mean_compliance is None else round(mean_compliance, 6)
         ),
     }
     compliance = (
-        f", compliance {100 * report.mean_compliance:.2f}%"
-        if report.mean_compliance is not None
+        f", compliance {100 * mean_compliance:.2f}%"
+        if mean_compliance is not None
         else ""
     )
     print(
         f"  S10 {num_services} services x {epochs} epochs: "
-        f"{wall:.2f} s, {len(report.steps)} steps, "
+        f"{wall:.2f} s, {len(intervals)} steps, "
         f"peak {report.peak_gpus} GPUs{compliance}"
     )
     return row
@@ -1143,7 +1157,8 @@ def main(argv=None):
     )
     parser.add_argument(
         "--skip-autoscaler", action="store_true",
-        help="skip the S10 autoscaler trace pass",
+        help="skip the S10 diurnal trace pass (run through "
+        "FleetController; the JSON key stays \"autoscaler\")",
     )
     parser.add_argument(
         "--skip-s11", action="store_true",
@@ -1151,13 +1166,17 @@ def main(argv=None):
     )
     parser.add_argument(
         "--autoscaler-services", type=int, default=S10_FLEET_SIZE,
+        help="services in the S10 diurnal trace pass (default: "
+        "%(default)s)",
     )
     parser.add_argument(
         "--autoscaler-epochs", type=int, default=S10_EPOCHS,
+        help="trace epochs (FleetController intervals) in the S10 pass "
+        "(default: %(default)s)",
     )
     parser.add_argument(
         "--autoscaler-measure", type=float, default=0.5,
-        help="seconds of serving simulated per autoscaler epoch in the "
+        help="seconds of serving simulated per S10 interval in the "
         "simulate suite (default: %(default)s)",
     )
     parser.add_argument(

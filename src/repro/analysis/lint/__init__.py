@@ -2,7 +2,7 @@
 
 Run it over the repo with::
 
-    PYTHONPATH=src python -m repro.analysis.lint src tests benchmarks
+    PYTHONPATH=src python -m repro.analysis.lint src tests benchmarks examples
 
 See :mod:`repro.analysis.lint.rules` for the rule catalog (D001-D006),
 :mod:`repro.analysis.lint.engine` for the per-line escape hatch, and

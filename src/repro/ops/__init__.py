@@ -1,9 +1,10 @@
 """Fleet operations: the closed-loop control plane.
 
 The paper's SIII-F deployment story exists because real clusters are
-never static.  This package turns the repo's three independent
-disturbance mechanisms — the autoscaler's rate epochs, the failover
-controller's GPU loss, the SLO-update path — into one operable system:
+never static.  This package turns the repo's three disturbance
+mechanisms — rate-trace epochs, the failover controller's GPU loss, the
+SLO-update path — into one operable system, the repo's only closed
+loop:
 
 - :mod:`repro.ops.events` — typed timeline events
   (:class:`~repro.ops.events.RateEpoch`,

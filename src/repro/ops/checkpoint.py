@@ -38,7 +38,7 @@ from repro.core.placement import GPUPlan, PlacedSegment, Placement
 from repro.core.segments import Segment
 from repro.core.service import Service
 from repro.gpu.geometry import get_geometry
-from repro.ops.events import OpsEvent
+from repro.ops.events import OpsEvent, event_to_doc
 from repro.ops.report import FailureRecord, IntervalRecord, OpsReport
 from repro.profiler.table import ProfileEntry
 
@@ -335,21 +335,6 @@ def report_from_doc(doc: Mapping[str, Any]) -> OpsReport:
     )
 
 
-def event_doc(event: OpsEvent) -> dict[str, Any]:
-    """One timeline event as its canonical wire document."""
-    # Lazy import: repro.serve pulls in the controller at package import
-    # time, so a top-level import here would be circular.
-    from repro.serve.sources import event_to_doc
-
-    return dict(event_to_doc(event))
-
-
-def event_from_wire_doc(doc: Mapping[str, Any]) -> OpsEvent:
-    from repro.serve.sources import event_from_doc
-
-    return event_from_doc(doc)
-
-
 def timeline_digest(events: Sequence[OpsEvent]) -> str:
     """Order-sensitive digest of a (sorted, filtered) static timeline.
 
@@ -359,7 +344,7 @@ def timeline_digest(events: Sequence[OpsEvent]) -> str:
     """
     h = hashlib.sha256()
     for event in events:
-        h.update(_canonical(event_doc(event)))
+        h.update(_canonical(event_to_doc(event)))
         h.update(b"\n")
     return h.hexdigest()
 
@@ -465,8 +450,6 @@ def resolve_resume(
 __all__ = [
     "CHECKPOINT_VERSION",
     "CheckpointError",
-    "event_doc",
-    "event_from_wire_doc",
     "placement_from_doc",
     "placement_to_doc",
     "read_checkpoint",

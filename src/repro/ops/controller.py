@@ -51,8 +51,6 @@ from repro.gpu.geometry import get_geometry
 from repro.gpu.reconfig import ReconfigurationCost, ShadowBudget, price_plan
 from repro.ops.checkpoint import (
     CheckpointError,
-    event_doc,
-    event_from_wire_doc,
     placement_from_doc,
     placement_to_doc,
     report_from_doc,
@@ -72,6 +70,8 @@ from repro.ops.events import (
     ServiceDeparture,
     SloChange,
     SpotPreemptionWave,
+    event_from_doc,
+    event_to_doc,
     timeline_key,
 )
 from repro.obs import ObsHub
@@ -120,7 +120,6 @@ class _RunState:
     measure_s: float
     warmup_s: float
     sim_seed: int
-    sim_fast: bool
     check: bool
     #: serve every Nth interval only (1 = every interval; the
     #: ``--verify-every`` sampling knob for expensive dual replays)
@@ -267,7 +266,6 @@ class FleetController:
         measure_s: float = 0.0,
         warmup_s: float = 0.1,
         sim_seed: int = 0,
-        sim_fast_path: Optional[bool] = None,
         check: bool = True,
         measure_every: int = 1,
     ) -> OpsReport:
@@ -287,7 +285,6 @@ class FleetController:
         if measure_every < 1:
             raise ValueError("measure_every must be >= 1")
         self._reset_deployment()
-        sim_fast = self.fast_path if sim_fast_path is None else sim_fast_path
         # Private copies: the run rewrites rates/SLOs/plan state, and
         # callers reasonably reuse their Service objects afterwards.
         work = [
@@ -319,7 +316,6 @@ class FleetController:
             measure_s=measure_s,
             warmup_s=warmup_s,
             sim_seed=sim_seed,
-            sim_fast=sim_fast,
             check=check,
             measure_every=measure_every,
             shard=self._open_shard_context(),
@@ -414,8 +410,7 @@ class FleetController:
                 ) as sp:
                     self._measure(
                         record, placement, run.work, run.measure_s,
-                        run.warmup_s, run.sim_seed, run.sim_fast,
-                        run.shard,
+                        run.warmup_s, run.sim_seed, run.shard,
                     )
                 self._m_stage_wall.observe(sp.wall_s, stage="measure")
             with self.obs.span("report", t_s=t, cat="interval") as sp:
@@ -554,14 +549,13 @@ class FleetController:
                 "measure_s": run.measure_s,
                 "warmup_s": run.warmup_s,
                 "sim_seed": run.sim_seed,
-                "sim_fast": run.sim_fast,
                 "check": run.check,
                 "measure_every": run.measure_every,
                 "last_t": run.last_t,
                 "steps": run.steps,
                 "services": [service_to_doc(s) for s in run.work],
                 "pending": [
-                    {"seq": seq, "event": event_doc(ev)}
+                    {"seq": seq, "event": event_to_doc(ev)}
                     for _key, seq, ev in sorted(run.pending)
                 ],
             },
@@ -637,7 +631,7 @@ class FleetController:
         self._pending_seq = int(state["pending_seq"])
         pending: list[tuple[tuple[float, int, str], int, OpsEvent]] = []
         for entry in run_doc["pending"]:
-            ev = event_from_wire_doc(entry["event"])
+            ev = event_from_doc(entry["event"])
             heappush(pending, (timeline_key(ev), int(entry["seq"]), ev))
         report = report_from_doc(state["report"])
         # The report describes the *resumed* run from here on.
@@ -650,7 +644,6 @@ class FleetController:
             measure_s=run_doc["measure_s"],
             warmup_s=run_doc["warmup_s"],
             sim_seed=run_doc["sim_seed"],
-            sim_fast=run_doc["sim_fast"],
             check=run_doc["check"],
             measure_every=run_doc["measure_every"],
             shard=self._open_shard_context(),
@@ -672,7 +665,6 @@ class FleetController:
         measure_s: float = 0.0,
         warmup_s: float = 0.1,
         sim_seed: int = 0,
-        sim_fast_path: Optional[bool] = None,
         check: bool = True,
         measure_every: int = 1,
         *,
@@ -685,9 +677,9 @@ class FleetController:
 
         With ``measure_s > 0`` every ``measure_every``-th interval's
         deployment is *served* for that long (after ``warmup_s`` of
-        warmup) and per-tenant SLO compliance is recorded.
-        ``sim_fast_path`` defaults to the controller's own ``fast_path``,
-        so a naive-reference replay also exercises the event-driven
+        warmup) and per-tenant SLO compliance is recorded.  The serving
+        engine follows the controller's ``fast_path``, so a
+        naive-reference replay also exercises the event-driven
         simulation engine.
 
         Crash resilience: ``checkpoint_path`` (with ``checkpoint_every=N``)
@@ -717,11 +709,6 @@ class FleetController:
                     measure_s=measure_s,
                     warmup_s=warmup_s,
                     sim_seed=sim_seed,
-                    sim_fast=(
-                        self.fast_path
-                        if sim_fast_path is None
-                        else sim_fast_path
-                    ),
                     check=check,
                     measure_every=measure_every,
                     timeline_sha=digest,
@@ -739,7 +726,6 @@ class FleetController:
                 measure_s=measure_s,
                 warmup_s=warmup_s,
                 sim_seed=sim_seed,
-                sim_fast_path=sim_fast_path,
                 check=check,
                 measure_every=measure_every,
             )
@@ -803,7 +789,6 @@ class FleetController:
         measure_s: float,
         warmup_s: float,
         sim_seed: int,
-        sim_fast: bool,
         check: bool,
         measure_every: int,
         timeline_sha: str,
@@ -815,7 +800,6 @@ class FleetController:
             "measure_s": measure_s,
             "warmup_s": warmup_s,
             "sim_seed": sim_seed,
-            "sim_fast": sim_fast,
             "check": check,
             "measure_every": measure_every,
         }
@@ -1198,7 +1182,6 @@ class FleetController:
         measure_s: float,
         warmup_s: float,
         sim_seed: int,
-        sim_fast: bool,
         shard: ShardContext,
     ) -> None:
         # Looked up at call time, so patching the module attribute
@@ -1211,8 +1194,8 @@ class FleetController:
             measure_s=measure_s,
             warmup_s=warmup_s,
             seed=sim_seed,
-            fast_path=sim_fast,
-            shard_context=shard if sim_fast else None,
+            fast_path=self.fast_path,
+            shard_context=shard if self.fast_path else None,
         )
         record.compliance = m.compliance
         record.sim_fingerprint = _record_digest(m.fingerprint)
@@ -1259,7 +1242,6 @@ def run_identity_checked(
     measure_s: float = 0.0,
     warmup_s: float = 0.1,
     sim_seed: int = 0,
-    naive_sim: bool = True,
     workers: int = 0,
     verify_every: int = 1,
     **controller_kwargs: object,
@@ -1269,9 +1251,8 @@ def run_identity_checked(
     Both controllers consume the identical timeline from scratch; every
     interval's placement fingerprint — and, when serving is measured, its
     simulation stats fingerprint — must match exactly, or
-    :class:`OpsIdentityError` is raised.  ``naive_sim=False`` keeps the
-    reference replay on the simulation fast path (the event-driven engine
-    is O(requests) and can dominate large fleets' replay time).
+    :class:`OpsIdentityError` is raised.  The reference replay serves on
+    the per-request event-driven engine.
 
     ``workers`` applies to the fast replay only — the naive reference
     always runs inline, so ``workers`` >= 2 additionally asserts that the
@@ -1298,7 +1279,6 @@ def run_identity_checked(
     naive = FleetController(fast_path=False, **controller_kwargs).run(
         services, timeline, horizon_s,
         measure_s=measure_s, warmup_s=warmup_s, sim_seed=sim_seed,
-        sim_fast_path=None if naive_sim else True,
         measure_every=verify_every,
     )
     assert_reports_identical(fast, naive)

@@ -21,12 +21,22 @@ it against the GPUs occupied *at that moment* (``occupied[int(draw *
 len(occupied))]``), which keeps victim selection deterministic without
 coupling generators to placements.  A :class:`GpuRecovery` references the
 failure it undoes via the failure's ``event_id``.
+
+Every event also has a wire form: its dataclass fields plus a ``"kind"``
+discriminator naming the event type, rendered as one JSON object with
+sorted keys (:func:`encode_event`).  The codec round-trips exactly
+(``event_from_doc(event_to_doc(e)) == e``); the live gateway's wire
+format, the write-ahead journal, checkpoints' pending heaps and the
+resume timeline digest all use it, so a recorded session replays
+bit-identically.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 
 @dataclass(frozen=True)
@@ -221,3 +231,55 @@ def merge_timeline(*streams: Iterable[OpsEvent]) -> tuple[OpsEvent, ...]:
     events = [e for stream in streams for e in stream]
     events.sort(key=timeline_key)
     return tuple(events)
+
+
+#: ``"kind"`` discriminator -> event class (the full event vocabulary).
+EVENT_TYPES: dict[str, type[OpsEvent]] = {
+    cls.__name__: cls
+    for cls in (
+        ServiceDeparture,
+        ServiceArrival,
+        SloChange,
+        RateEpoch,
+        GpuRecovery,
+        GpuFailure,
+        SpotPreemptionWave,
+    )
+}
+
+
+def event_to_doc(event: OpsEvent) -> dict[str, object]:
+    """One event as a JSON-ready dict (dataclass fields + ``kind``)."""
+    if type(event).__name__ not in EVENT_TYPES:
+        raise TypeError(f"not a wire-format event type: {event!r}")
+    doc: dict[str, object] = {"kind": event.kind}
+    doc.update(dataclasses.asdict(event))
+    return doc
+
+
+def event_from_doc(doc: Mapping[str, object]) -> OpsEvent:
+    """Rebuild an event from its wire dict (inverse of
+    :func:`event_to_doc`)."""
+    fields = dict(doc)
+    kind = fields.pop("kind", None)
+    if not isinstance(kind, str) or kind not in EVENT_TYPES:
+        raise ValueError(f"unknown event kind {kind!r}")
+    cls = EVENT_TYPES[kind]
+    allowed = {f.name for f in dataclasses.fields(cls)}
+    unknown = sorted(k for k in fields if k not in allowed)
+    if unknown:
+        raise ValueError(f"{kind} does not accept fields {unknown}")
+    return cls(**fields)  # type: ignore[arg-type]
+
+
+def encode_event(event: OpsEvent) -> str:
+    """One event as its canonical wire line (sorted keys, no newline)."""
+    return json.dumps(event_to_doc(event), sort_keys=True)
+
+
+def decode_event(line: str) -> OpsEvent:
+    """Parse one wire line back into an event."""
+    doc = json.loads(line)
+    if not isinstance(doc, dict):
+        raise ValueError(f"event line must be a JSON object: {line!r}")
+    return event_from_doc(doc)

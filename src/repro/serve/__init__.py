@@ -12,8 +12,9 @@ the :class:`~repro.ops.report.OpsReport` while it grows:
   a :class:`~repro.serve.realclock.MonotonicClock` for live sessions
   (the only serve module allowed to read the wall clock);
 - :mod:`repro.serve.sources` — pluggable event sources (in-memory
-  timelines, recorded JSONL sessions, line-delimited JSON streams) and
-  the wire codec;
+  timelines, recorded JSONL sessions, line-delimited JSON streams); the
+  wire codec they decode lives in :mod:`repro.ops.events` and is
+  re-exported here;
 - :mod:`repro.serve.intake` — the ordered intake queue
   (:func:`~repro.ops.events.timeline_key` semantics over a live
   stream);
@@ -33,6 +34,13 @@ bit-identical to ``FleetController.run`` on the same timeline —
 property suite fuzzes it, and CI runs it fatally on an S12 slice.
 """
 
+from repro.ops.events import (
+    EVENT_TYPES,
+    decode_event,
+    encode_event,
+    event_from_doc,
+    event_to_doc,
+)
 from repro.serve.clock import Clock, VirtualClock
 from repro.serve.driver import ScriptedDriver, scripted_source
 from repro.serve.gateway import (
@@ -52,11 +60,6 @@ from repro.serve.journal import (
 )
 from repro.serve.realclock import MonotonicClock
 from repro.serve.sources import (
-    EVENT_TYPES,
-    decode_event,
-    encode_event,
-    event_from_doc,
-    event_to_doc,
     jsonl_source,
     resilient_source,
     stream_source,

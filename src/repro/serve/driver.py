@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from typing import AsyncIterator, Iterable
 
-from repro.ops.events import OpsEvent, timeline_key
+from repro.ops.events import OpsEvent, encode_event, timeline_key
 from repro.serve.clock import Clock
-from repro.serve.sources import encode_event
 
 
 async def scripted_source(

@@ -2,7 +2,7 @@
 
 Every event the gateway admits is appended to an on-disk segment file
 *before* it enters the intake queue — one canonical wire line
-(:func:`~repro.serve.sources.encode_event`) per event, so a journal is
+(:func:`~repro.ops.events.encode_event`) per event, so a journal is
 also a valid recorded session.  After a crash, replaying the journal
 through the virtual-clock gateway reproduces the lost session
 bit-identically (:func:`replay_journal`): the wire codec round-trips
@@ -33,8 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, ClassVar, Optional
 
-from repro.ops.events import OpsEvent
-from repro.serve.sources import decode_event, encode_event
+from repro.ops.events import OpsEvent, decode_event, encode_event
 
 if TYPE_CHECKING:
     from repro.ops.report import OpsReport

@@ -17,7 +17,7 @@ reads the wall clock):
   controller family plus the attached gateway/shard/journal counters,
   rendered byte-deterministically per scrape;
 - ``POST /events`` — submit events in the canonical wire format (one
-  JSON object per line, as :func:`~repro.serve.sources.encode_event`
+  JSON object per line, as :func:`~repro.ops.events.encode_event`
   emits).  Accepted events are journaled and enqueued exactly like
   source events; a malformed body is a ``400`` (counted in
   ``rejected_events``) without disturbing the session, and a closed
@@ -37,9 +37,8 @@ import json
 from typing import Optional, Union
 
 from repro.obs import PROMETHEUS_CONTENT_TYPE, render_prometheus
-from repro.ops.events import OpsEvent
+from repro.ops.events import OpsEvent, decode_event
 from repro.serve.gateway import ServeGateway
-from repro.serve.sources import decode_event
 
 #: refuse request bodies beyond this size (a local status port is not a
 #: bulk-ingest path)

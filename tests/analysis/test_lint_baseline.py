@@ -172,7 +172,12 @@ class TestShippedTree:
     def test_shipped_tree_matches_baseline(self):
         config = load_config(root=REPO_ROOT)
         findings = lint_paths(
-            [REPO_ROOT / "src", REPO_ROOT / "tests", REPO_ROOT / "benchmarks"],
+            [
+                REPO_ROOT / "src",
+                REPO_ROOT / "tests",
+                REPO_ROOT / "benchmarks",
+                REPO_ROOT / "examples",
+            ],
             config,
         )
         entries, errors = load_baseline(config.baseline_path())

@@ -233,3 +233,32 @@ def mixed_run(seed, fast_path):
 @pytest.mark.parametrize("seed", [5, 6])
 def test_mixed_geometry_fast_matches_naive(seed):
     assert mixed_run(seed, True) == mixed_run(seed, False)
+
+
+def test_replanning_a_mig_service_leaves_the_mi300x_pool_untouched(profiles):
+    """SIII-F over a heterogeneous map: moving a MIG-resident service's
+    rate re-plans that service only, so every instance on the MI300X pool
+    stays running through the reconfiguration at zero downtime."""
+    from repro.core.hetero import make_mixed_scheduler
+    from repro.gpu.reconfig import price_plan
+
+    # Eq.-2 pool assignment at these SLOs: resnet-50@250ms scores best on
+    # MI300X, mobilenetv2@150ms on MIG.
+    services = [
+        Service("a", "resnet-50", slo_latency_ms=250, request_rate=2000),
+        Service("b", "mobilenetv2", slo_latency_ms=150, request_rate=4000),
+    ]
+    manager = DeploymentManager(profiles)
+    manager.deploy(make_mixed_scheduler().schedule(services))
+    amd = [
+        spec for spec in manager.current.to_instance_specs()
+        if spec.geometry == "mi300x"
+    ]
+    assert amd, "resnet-50 should live on the MI300X pool"
+    assert {spec.owner for spec in amd} == {"a"}
+
+    placement, plan = manager.update_slo(services, services[1], new_rate=12000.0)
+    assert plan.num_operations > 0  # the MIG service really was re-planned
+    assert all(spec in plan.unchanged for spec in amd)
+    assert price_plan(plan).downtime_s.get("a", 0.0) == 0.0
+    assert set(placement.geometries()) == {"mig", "mi300x"}

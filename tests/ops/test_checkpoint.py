@@ -173,3 +173,27 @@ class TestResumeValidation:
                 measure_s=MEASURE_S, sim_seed=SIM_SEED,
                 resume=checkpoint_path,
             )
+
+    def test_retired_sim_fast_key_still_resumes(
+        self, tmp_path, checkpoint_path, workload, reference
+    ):
+        """Older checkpoints carry a ``run.sim_fast`` serving-engine flag;
+        the engine now follows the controller's ``fast_path`` (checked
+        with the config), so restore ignores the stale key."""
+        state = read_checkpoint(checkpoint_path)
+        assert "sim_fast" not in state["run"]
+        state["run"]["sim_fast"] = True
+        legacy = tmp_path / "legacy.json"
+        write_checkpoint(legacy, state)
+        resumed = full_run(workload, resume=legacy)
+        assert_reports_identical(resumed, reference)
+        assert resumed.to_doc() == reference.to_doc()
+
+    def test_engine_mismatch_is_refused(self, checkpoint_path, workload):
+        state = read_checkpoint(checkpoint_path)
+        state["config"]["fast_path"] = False
+        with pytest.raises(CheckpointError, match="fast_path"):
+            controller().run(
+                workload.services, workload.timeline, workload.horizon_s,
+                measure_s=MEASURE_S, sim_seed=SIM_SEED, resume=state,
+            )

@@ -13,8 +13,9 @@ from repro.ops.events import (
     SloChange,
     SpotPreemptionWave,
 )
-from repro.sim.traces import surge_trace
 from repro.ops.chaos import rate_epochs
+from repro.scenarios.fleet import fleet_services, fleet_traces
+from repro.sim.traces import surge_trace
 
 
 @pytest.fixture
@@ -83,6 +84,26 @@ class TestBootstrapAndRates:
         report = controller(profiles).run(services, (), horizon_s=7200.0)
         rec = report.intervals[0]
         assert report.gpu_hours == pytest.approx(rec.num_gpus * 2.0)
+
+    def test_s10_diurnal_fleet_is_pinned(self, profiles):
+        """The S10 trace run (perf harness ``"autoscaler"`` row): 200
+        phase-shifted diurnal services over four epochs, one interval per
+        epoch, every epoch after bootstrap on the incremental path.  The
+        GPU counts and reconfiguration ops are the committed BENCH row's
+        (peak 119, mean 115.75, 2562 ops)."""
+        services = fleet_services(200)
+        timeline = rate_epochs(fleet_traces(services, epochs=4))
+        report = controller(profiles, spare_shadow_gpus=2).run(
+            services, timeline,
+            horizon_s=max(e.time_s for e in timeline) + 1.0,
+        )
+        assert [r.num_gpus for r in report.intervals] == [114, 116, 114, 119]
+        assert [r.reconfig_ops for r in report.intervals] == [
+            286, 784, 748, 744
+        ]
+        assert [r.path for r in report.intervals] == [
+            "full", "incremental", "incremental", "incremental"
+        ]
 
 
 class TestChurn:
