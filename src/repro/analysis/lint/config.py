@@ -19,14 +19,12 @@ from typing import Sequence
 #: Files where wall-clock reads (D002) are legitimate: the wall-clock
 #: assertion gate itself, the scheduling-delay stopwatch (fig9's measured
 #: quantity), the obs plane's single wall tap (every other obs module
-#: takes durations as caller-observed values), the perf harness, and CLI
-#: end-to-end timing.
+#: takes durations as caller-observed values), and CLI end-to-end timing.
 DEFAULT_WALLCLOCK_ALLOW: tuple[str, ...] = (
     "src/repro/experiments/wallclock.py",
     "src/repro/metrics/delay.py",
     "src/repro/obs/wallclock.py",
     "src/repro/cli.py",
-    "benchmarks/perf/*",
 )
 
 #: Modules whose outputs feed fingerprints (placements, simulation

@@ -25,8 +25,8 @@ Subcommands:
 - ``parvagpu serve --scenario S16 [--clock real|virtual]
   [--time-scale X] [--deadline B]`` — the live-serving gateway: stream
   the scenario's timeline through the async control loop, publish
-  status over local HTTP, optionally record the session and verify the
-  virtual replay against the offline controller (``--check-offline``).
+  status over local HTTP, optionally record the session and check it
+  against the offline controller (``--check-offline``).
 
 ``--geometry`` selects the partition geometry of the fleet: ``mig`` (the
 paper's A100 fleet, default), any other registered geometry name (e.g.
@@ -284,6 +284,7 @@ def _run_gateway_session(
     import asyncio
 
     from repro.ops import FleetController, OpsIdentityError
+    from repro.ops.controller import assert_reports_identical
     from repro.scenarios.ops import OPS_SEED, ops_run
     from repro.serve import (
         Journal,
@@ -296,6 +297,11 @@ def _run_gateway_session(
         stream_source,
     )
 
+    if use_stdin and (record or check_offline):
+        print("error: --record and --check-offline read the scripted "
+              "driver's session, which --stdin replaces",
+              file=sys.stderr)
+        return 2
     seed = seed if seed is not None else OPS_SEED
     try:
         run = ops_run(scenario, seed=seed)
@@ -406,25 +412,35 @@ def _run_gateway_session(
             f"compliance: mean {100 * report.mean_compliance:.2f}%, "
             f"min {100 * report.min_compliance:.2f}%"
         )
-    if record and not use_stdin:
+    if record:
         with open(record, "w", encoding="utf-8") as fh:
             for line in driver.recorded_jsonl():
                 fh.write(line + "\n")
         print(f"recorded session: {record} ({len(driver.sent)} events)")
     if check_offline:
-        recorded = tuple(driver.sent) if not use_stdin else run.timeline
+        recorded = tuple(driver.sent)
         try:
-            replay_identity_checked(
-                run.services, recorded, horizon,
-                measure_s=measure, warmup_s=warmup, sim_seed=seed,
-                seed=seed,
-            )
+            if virtual:
+                # The session itself was the virtual-clock replay: bind
+                # its own report, not a second gateway's.
+                offline = FleetController(seed=seed).run(
+                    run.services, recorded, horizon,
+                    measure_s=measure, warmup_s=warmup, sim_seed=seed,
+                )
+                assert_reports_identical(report, offline)
+            else:
+                replay_identity_checked(
+                    run.services, recorded, horizon,
+                    measure_s=measure, warmup_s=warmup, sim_seed=seed,
+                    seed=seed, workers=workers,
+                )
         except OpsIdentityError as exc:
             print(f"IDENTITY CHECK FAILED: {exc}", file=sys.stderr)
             return 1
+        what = "session" if virtual else "virtual-clock replay of the session"
         print(
-            "identity: virtual-clock replay of the session matches the "
-            "offline FleetController on every interval"
+            f"identity: the {what} matches the offline FleetController "
+            "on every interval"
         )
     return 0
 
@@ -815,13 +831,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--record", default=None, metavar="FILE",
         help="write the driver's emitted session as line-delimited JSON "
-        "(replayable with --clock virtual via the recorded timeline)",
+        "(replayable with --clock virtual via the recorded timeline; not "
+        "with --stdin)",
     )
     p.add_argument(
         "--check-offline", action="store_true", dest="check_offline",
-        help="after the session, replay it through the virtual-clock "
-        "gateway and assert per-interval fingerprint identity against "
-        "the offline FleetController",
+        help="after the session, assert per-interval fingerprint "
+        "identity against the offline FleetController: the session's own "
+        "report under --clock virtual, else a virtual-clock replay of the "
+        "recorded events at the same --workers (not with --stdin)",
     )
     p.add_argument(
         "--workers", type=int, default=0,

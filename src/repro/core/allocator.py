@@ -204,7 +204,7 @@ class SegmentAllocator:
     scan.  Placements are byte-identical either way — the index is keyed
     by GPU list position and probes slots in the same preference order —
     so ``indexed=False`` exists only as the reference path for the
-    identity property test and the perf harness's naive baseline.
+    identity property test and the identity gates' naive replay.
     """
 
     def __init__(

@@ -43,8 +43,8 @@ class SegmentConfigurator:
     keyed by (model — the table itself, effective SLO, max processes, and
     geometry — tables are per-geometry): services sharing an operating
     regime resolve to the same ``opt_tri_array`` without rescanning the
-    table.  ``memoize=False`` is the reference path for the perf harness's
-    naive baseline; decisions are identical either way.
+    table.  ``memoize=False`` is the reference path for the identity checks'
+    naive replay; decisions are identical either way.
     """
 
     def __init__(

@@ -113,7 +113,7 @@ class OutOfOrderEventError(ValueError):
 class _RunState:
     """Everything one begin()/step()/finish() cycle carries between steps."""
 
-    work: list[Service]
+    #: the live fleet, in arrival order (full re-plans iterate it)
     by_id: dict[str, Service]
     report: OpsReport
     horizon_s: float
@@ -280,15 +280,22 @@ class FleetController:
             raise RuntimeError(
                 "a run is already active on this controller; call finish()"
             )
-        if horizon_s <= 0:
-            raise ValueError("horizon must be positive")
+        if not (math.isfinite(horizon_s) and horizon_s > 0):
+            raise ValueError(
+                f"horizon must be positive and finite, got {horizon_s!r}"
+            )
+        for name, value in (("measure_s", measure_s), ("warmup_s", warmup_s)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be non-negative and finite, got {value!r}"
+                )
         if measure_every < 1:
             raise ValueError("measure_every must be >= 1")
         self._reset_deployment()
         # Private copies: the run rewrites rates/SLOs/plan state, and
         # callers reasonably reuse their Service objects afterwards.
-        work = [
-            Service(
+        by_id = {
+            s.id: Service(
                 id=s.id,
                 model=s.model,
                 slo_latency_ms=s.slo_latency_ms,
@@ -296,9 +303,8 @@ class FleetController:
                 slo_factor=s.slo_factor,
             )
             for s in services
-        ]
-        by_id = {s.id: s for s in work}
-        if len(by_id) != len(work):
+        }
+        if len(by_id) != len(services):
             raise ValueError("duplicate service ids")
         report = OpsReport(
             horizon_s=horizon_s,
@@ -309,7 +315,6 @@ class FleetController:
         self._pending_seq = 0
         self._eid_to_gpu = {}
         self._run = _RunState(
-            work=work,
             by_id=by_id,
             report=report,
             horizon_s=horizon_s,
@@ -391,13 +396,13 @@ class FleetController:
         ) as interval_span:
             with self.obs.span("apply", t_s=t, cat="interval") as sp:
                 record = self._apply_batch(
-                    t, batch, run.work, run.by_id, run.report, run.pending
+                    t, batch, run.by_id, run.report, run.pending
                 )
                 sp.args["path"] = record.path
             self._m_stage_wall.observe(sp.wall_s, stage="apply")
             if run.check:
                 with self.obs.span("check", t_s=t, cat="interval") as sp:
-                    self._check_state(run.work)
+                    self._check_state(run.by_id.values())
                 self._m_stage_wall.observe(sp.wall_s, stage="check")
             placement = self.manager.current
             with self.obs.span("fingerprint", t_s=t, cat="interval") as sp:
@@ -406,11 +411,11 @@ class FleetController:
             if run.measure_s > 0 and run.steps % run.measure_every == 0:
                 with self.obs.span(
                     "measure", t_s=t, cat="interval",
-                    services=len(run.work), workers=self.workers,
+                    services=len(run.by_id), workers=self.workers,
                 ) as sp:
                     self._measure(
-                        record, placement, run.work, run.measure_s,
-                        run.warmup_s, run.sim_seed, run.shard,
+                        record, placement, list(run.by_id.values()),
+                        run.measure_s, run.warmup_s, run.sim_seed, run.shard,
                     )
                 self._m_stage_wall.observe(sp.wall_s, stage="measure")
             with self.obs.span("report", t_s=t, cat="interval") as sp:
@@ -425,7 +430,7 @@ class FleetController:
         new_failures = len(run.report.failures) - failures_before
         if new_failures:
             self._m_failures.inc(new_failures)
-        self._m_services.set(len(run.work))
+        self._m_services.set(len(run.by_id))
         self._m_gpus.set(record.num_gpus)
         self._m_spares.set(record.spare_gpus)
         self.obs.note(
@@ -466,7 +471,7 @@ class FleetController:
             for e in events
             if isinstance(e, (ServiceDeparture, ServiceArrival))
         )
-        return structural > self.full_replan_fraction * max(1, len(run.work))
+        return structural > self.full_replan_fraction * max(1, len(run.by_id))
 
     def finish(self) -> OpsReport:
         """Close the run and return its report.
@@ -522,7 +527,7 @@ class FleetController:
         """Freeze the active run's full control-plane state as a document.
 
         Everything a resumed run needs to be bit-identical to an
-        uninterrupted one is captured: the fleet's services (in work-list
+        uninterrupted one is captured: the fleet's services (in arrival
         order — full replans iterate it), the deployed placement and the
         spare/retired GPU ledgers, the pending (controller-scheduled)
         event heap with its tie-break sequence, the live report with
@@ -553,7 +558,7 @@ class FleetController:
                 "measure_every": run.measure_every,
                 "last_t": run.last_t,
                 "steps": run.steps,
-                "services": [service_to_doc(s) for s in run.work],
+                "services": [service_to_doc(s) for s in run.by_id.values()],
                 "pending": [
                     {"seq": seq, "event": event_to_doc(ev)}
                     for _key, seq, ev in sorted(run.pending)
@@ -610,9 +615,11 @@ class FleetController:
             )
         run_doc = state["run"]
         self._reset_deployment()
-        work = [service_from_doc(d) for d in run_doc["services"]]
-        by_id = {s.id: s for s in work}
-        if len(by_id) != len(work):
+        by_id = {
+            svc.id: svc
+            for svc in map(service_from_doc, run_doc["services"])
+        }
+        if len(by_id) != len(run_doc["services"]):
             raise CheckpointError("checkpoint carries duplicate service ids")
         mgr_doc = state["manager"]
         if mgr_doc["placement"] is not None:
@@ -637,7 +644,6 @@ class FleetController:
         # The report describes the *resumed* run from here on.
         report.workers = self.workers
         self._run = _RunState(
-            work=work,
             by_id=by_id,
             report=report,
             horizon_s=run_doc["horizon_s"],
@@ -828,7 +834,6 @@ class FleetController:
         self,
         t: float,
         batch: list[OpsEvent],
-        work: list[Service],
         by_id: dict[str, Service],
         report: OpsReport,
         pending: list,
@@ -859,14 +864,15 @@ class FleetController:
             if isinstance(e, (ServiceDeparture, ServiceArrival))
         )
         bootstrap = self.manager.current is None
-        if bootstrap or structural > self.full_replan_fraction * max(1, len(work)):
+        if bootstrap or structural > self.full_replan_fraction * max(1, len(by_id)):
             # The delta demands a full re-plan: fold every service-level
             # event into the fleet state, then schedule from scratch.
             path = "full"
             for e in service_events:
-                skipped += 0 if self._apply_to_state(e, work, by_id) else 1
+                skipped += 0 if self._apply_to_state(e, by_id) else 1
                 count(e)
-            for svc in work:
+            fleet = list(by_id.values())
+            for svc in fleet:
                 svc.request_rate = max(svc.request_rate, 1e-6)
                 svc.reset_plan()
             if self.workers > 1 and self.fast_path:
@@ -877,11 +883,11 @@ class FleetController:
 
                 warm_triplet_decisions(
                     self.profiles,
-                    work,
+                    fleet,
                     self.scheduler.configurator.max_processes,
                     self._require_run().shard.pool,
                 )
-            placement = self.scheduler.schedule(work)
+            placement = self.scheduler.schedule(fleet)
             plan = self.manager.deploy(placement)
             cost = price_plan(plan)
             if bootstrap:
@@ -903,7 +909,7 @@ class FleetController:
             self._eid_to_gpu.clear()
         else:
             for e in service_events:
-                applied, cost, n = self._apply_incremental(e, work, by_id)
+                applied, cost, n = self._apply_incremental(e, by_id)
                 if not applied:
                     skipped += 1
                 if cost is not None:
@@ -913,7 +919,7 @@ class FleetController:
 
         for e in gpu_events:
             applied, applied_costs, n = self._apply_gpu_event(
-                t, e, work, report, pending
+                t, e, by_id, report, pending
             )
             if not applied:
                 skipped += 1
@@ -928,7 +934,7 @@ class FleetController:
             path=path,
             events=counts,
             skipped=skipped,
-            services=len(work),
+            services=len(by_id),
             num_gpus=self.manager.current.num_gpus,
             spare_gpus=len(self.manager.spare_gpus),
             reconfig_ops=ops,
@@ -938,16 +944,10 @@ class FleetController:
             zero_downtime=self.shadows.admit(t, total),
         )
 
-    def _apply_to_state(
-        self, e: OpsEvent, work: list[Service], by_id: dict[str, Service]
-    ) -> bool:
+    def _apply_to_state(self, e: OpsEvent, by_id: dict[str, Service]) -> bool:
         """Fold one service-level event into the fleet state (no re-plan)."""
         if isinstance(e, ServiceDeparture):
-            svc = by_id.pop(e.service_id, None)
-            if svc is None:
-                return False
-            work.remove(svc)
-            return True
+            return by_id.pop(e.service_id, None) is not None
         if isinstance(e, ServiceArrival):
             if e.service_id in by_id:
                 return False
@@ -957,7 +957,6 @@ class FleetController:
                 slo_latency_ms=e.slo_latency_ms,
                 request_rate=e.request_rate,
             )
-            work.append(svc)
             by_id[svc.id] = svc
             return True
         if isinstance(e, SloChange):
@@ -975,7 +974,7 @@ class FleetController:
         raise TypeError(f"not a service-level event: {e!r}")  # pragma: no cover
 
     def _apply_incremental(
-        self, e: OpsEvent, work: list[Service], by_id: dict[str, Service]
+        self, e: OpsEvent, by_id: dict[str, Service]
     ) -> tuple[bool, Optional[ReconfigurationCost], int]:
         """One service-level event through the SIII-F incremental path."""
         kw = dict(
@@ -988,16 +987,18 @@ class FleetController:
         # applied by update_slo itself (the old value is needed first
         # for the no-op check).
         if isinstance(e, ServiceDeparture):
-            if not self._apply_to_state(e, work, by_id):
+            if not self._apply_to_state(e, by_id):
                 return False, None, 0
             _, plan = self.manager.remove_service(
-                work, e.service_id, fast_path=self.fast_path
+                list(by_id.values()), e.service_id, fast_path=self.fast_path
             )
             return True, price_plan(plan), plan.num_operations
         if isinstance(e, ServiceArrival):
-            if not self._apply_to_state(e, work, by_id):
+            if not self._apply_to_state(e, by_id):
                 return False, None, 0
-            _, plan = self.manager.update_slo(work, by_id[e.service_id], **kw)
+            _, plan = self.manager.update_slo(
+                list(by_id.values()), by_id[e.service_id], **kw
+            )
             return True, price_plan(plan), plan.num_operations
         if isinstance(e, SloChange):
             svc = by_id.get(e.service_id)
@@ -1006,7 +1007,7 @@ class FleetController:
             if svc.slo_latency_ms == e.slo_latency_ms:
                 return True, None, 0
             _, plan = self.manager.update_slo(
-                work, svc, new_slo_ms=e.slo_latency_ms, **kw
+                list(by_id.values()), svc, new_slo_ms=e.slo_latency_ms, **kw
             )
             return True, price_plan(plan), plan.num_operations
         if isinstance(e, RateEpoch):
@@ -1016,7 +1017,9 @@ class FleetController:
             rate = max(e.rate, 1e-6)
             if svc.request_rate == rate:
                 return True, None, 0
-            _, plan = self.manager.update_slo(work, svc, new_rate=rate, **kw)
+            _, plan = self.manager.update_slo(
+                list(by_id.values()), svc, new_rate=rate, **kw
+            )
             return True, price_plan(plan), plan.num_operations
         raise TypeError(f"not a service-level event: {e!r}")  # pragma: no cover
 
@@ -1032,10 +1035,10 @@ class FleetController:
         gpu_id: int,
         kind: str,
         event_id: str,
-        work: list[Service],
+        by_id: dict[str, Service],
         report: OpsReport,
     ) -> tuple[ReconfigurationCost, int]:
-        result = self.failover.fail_gpu(gpu_id, work)
+        result = self.failover.fail_gpu(gpu_id, list(by_id.values()))
         report.failures.append(
             FailureRecord(
                 time_s=t,
@@ -1054,7 +1057,7 @@ class FleetController:
         self,
         t: float,
         e: OpsEvent,
-        work: list[Service],
+        by_id: dict[str, Service],
         report: OpsReport,
         pending: list,
     ) -> tuple[bool, list[ReconfigurationCost], int]:
@@ -1100,7 +1103,9 @@ class FleetController:
                 gid = e.gpu_id
             else:
                 gid = occupied[int(e.draw * len(occupied))]
-            cost, ops = self._fail_one(t, gid, "failure", e.event_id, work, report)
+            cost, ops = self._fail_one(
+                t, gid, "failure", e.event_id, by_id, report
+            )
             self._eid_to_gpu[e.event_id] = gid
             return True, [cost], ops
         if isinstance(e, SpotPreemptionWave):
@@ -1120,7 +1125,7 @@ class FleetController:
                     # preempting idle hardware tears down nothing
                     continue
                 cost, n = self._fail_one(
-                    t, gid, "preemption", f"{e.event_id}/{gid}", work, report
+                    t, gid, "preemption", f"{e.event_id}/{gid}", by_id, report
                 )
                 costs.append(cost)
                 ops += n
@@ -1140,7 +1145,7 @@ class FleetController:
     # identity checks & measurement
     # ------------------------------------------------------------------ #
 
-    def _check_state(self, work: Sequence[Service]) -> None:
+    def _check_state(self, services: Iterable[Service]) -> None:
         """The per-interval round-trip + cluster-mirror identity check.
 
         The from-scratch rebuild of the allocator state also pins the
@@ -1155,7 +1160,7 @@ class FleetController:
             raise OpsIdentityError(problem)
         rebuilt = SegmentAllocator(geometry=self.geometry)._to_placement(states)
         rebuilt.framework = placement.framework
-        rebuilt.assign_rates({s.id: s.request_rate for s in work})
+        rebuilt.assign_rates({s.id: s.request_rate for s in services})
         if rebuilt.fingerprint() != fp:
             raise OpsIdentityError(
                 "incremental placement does not survive the allocator-state "
@@ -1178,7 +1183,7 @@ class FleetController:
         self,
         record: IntervalRecord,
         placement: Placement,
-        work: Sequence[Service],
+        services: Sequence[Service],
         measure_s: float,
         warmup_s: float,
         sim_seed: int,
@@ -1190,7 +1195,7 @@ class FleetController:
 
         m = measure_interval(
             placement,
-            work,
+            services,
             measure_s=measure_s,
             warmup_s=warmup_s,
             seed=sim_seed,
@@ -1211,7 +1216,7 @@ def assert_reports_identical(fast: OpsReport, naive: OpsReport) -> None:
     measured) simulation stats fingerprint.
 
     The single definition of the replay identity contract — shared by
-    :func:`run_identity_checked` and the perf harness's recorded runs.
+    :func:`run_identity_checked` and the fleet-scale identity gates.
     """
     if len(fast.intervals) != len(naive.intervals):
         raise OpsIdentityError(

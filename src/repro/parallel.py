@@ -27,8 +27,8 @@ shared fan-out plumbing:
 Determinism contract: workers never share state, never consume random
 draws, and never influence result order — a run is bit-identical to the
 inline one-shard run for any worker count (guarded by
-``tests/property/test_property_parallel.py`` and the perf harness's
-parallel-vs-inline fingerprint identity check).
+``tests/property/test_property_parallel.py`` and the identity gates'
+sharded-vs-serial replay in ``benchmarks/perf/identity_gates.py``).
 
 Crash resilience: :meth:`ShardPool.run` survives worker death.  A
 ``BrokenProcessPool`` (a worker segfaulted, was OOM-killed, or hit a

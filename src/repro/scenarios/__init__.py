@@ -22,7 +22,6 @@ from repro.scenarios.table4 import (
 from repro.scenarios.scaling import scaled_scenario
 from repro.scenarios.fleet import (
     FLEET_SCENARIO_NAMES,
-    FLEET_TIERS,
     fleet_scenario,
     fleet_services,
     fleet_traces,
@@ -40,7 +39,6 @@ __all__ = [
     "TABLE4_SCENARIO_NAMES",
     "FLEET_SCENARIO_NAMES",
     "OPS_SCENARIO_NAMES",
-    "FLEET_TIERS",
     "Scenario",
     "OpsRun",
     "get_scenario",

@@ -7,12 +7,10 @@ synthesize deterministic large fleets by resampling the Table-IV load
 cells: every synthetic service takes a real (model, SLO) pair from S1-S6
 (guaranteed feasible on every registered geometry), relaxes the SLO by a
 bounded factor (relaxing never removes operating points), and scales the
-request rate.  Everything is seeded, so two processes — or two runs of
-the perf harness comparing the indexed and naive schedulers — see the
-exact same fleet.
+request rate.  Everything is seeded, so two processes — or the indexed
+and naive schedulers of an identity check — see the exact same fleet.
 
-``S9`` is the 1000-service fleet used by the registry; the perf harness
-sweeps :data:`FLEET_TIERS` (100/1000/5000) around it.  ``S10`` pairs a
+``S9`` is the 1000-service fleet used by the registry.  ``S10`` pairs a
 fleet with per-service diurnal rate traces (phase-shifted so the fleet's
 load moves as a wave, not in lockstep) and drives them through the
 ``FleetController`` as ``RateEpoch`` events
@@ -32,9 +30,6 @@ from repro.scenarios.table4 import SCENARIOS as TABLE4_SCENARIOS
 from repro.scenarios.table4 import Scenario, WorkloadLoad
 from repro.sim.traces import RateTrace, diurnal_trace
 
-#: Service counts the perf harness sweeps (S9 is the middle tier).
-FLEET_TIERS: tuple[int, ...] = (100, 1000, 5000)
-
 #: Default deterministic seed for all fleet synthesis.
 FLEET_SEED = 20240731
 
@@ -44,7 +39,7 @@ S9_FLEET_SIZE = 1000
 #: Services / trace epochs in the registered S10 scenario: large enough
 #: to exercise fleet-scale re-planning, small enough that the fleet
 #: controller (one incremental re-plan per changed service per epoch)
-#: stays tractable in the opt-in perf harness.
+#: stays tractable in a tier-1 test.
 S10_FLEET_SIZE = 200
 S10_EPOCHS = 4
 

@@ -10,10 +10,10 @@ package — the base fleet plus a deterministic event timeline for the
 :data:`OPS_SEED`, so two processes (or the fast/naive identity replay)
 build the exact same run.
 
-:func:`bench_ops_run` builds the perf-harness tier at an arbitrary fleet
+:func:`bench_ops_run` builds the ops-day tier at an arbitrary fleet
 size: one simulated day of MTBF failures with repair, spot preemption
 waves with restore, tenant churn, and SLO renegotiations — the
-"everything at once" workload the ``--suite ops`` benchmark records.
+"everything at once" workload the fleet-scale identity gates replay.
 """
 
 from __future__ import annotations
@@ -271,7 +271,7 @@ def ops_run(name: str, seed: int = OPS_SEED) -> OpsRun:
 
 
 def bench_ops_run(num_services: int, seed: int = OPS_SEED) -> OpsRun:
-    """The perf-harness tier: one simulated day, everything at once.
+    """The ops-day tier: one simulated day, everything at once.
 
     Failures with repair, preemption waves with restore, tenant churn,
     and SLO renegotiations over a ``num_services`` base fleet — well past

@@ -7,7 +7,7 @@ session time.  The driver remembers exactly what it sent, and
 :meth:`ScriptedDriver.recorded_jsonl` renders the session in the wire
 format — so a live run leaves behind a recording that the virtual-clock
 gateway replays bit-identically against the offline controller (the
-acceptance check the perf harness's serve suite automates).
+acceptance check ``benchmarks/perf/identity_gates.py`` automates).
 """
 
 from __future__ import annotations

@@ -30,8 +30,8 @@ like :meth:`FleetController.run`), the clock's work stopwatch is frozen
 at zero (so lag is zero and the scheduler never defers, even with a
 budget configured), and stepping instants are the event instants — the
 replayed report is bit-identical to the offline reference
-(:func:`replay_identity_checked` asserts it; the perf harness's serve
-suite records it).
+(:func:`replay_identity_checked` asserts it; the identity gates in
+``benchmarks/perf/identity_gates.py`` check it at workers 0/1/2).
 """
 
 from __future__ import annotations

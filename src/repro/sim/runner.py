@@ -112,8 +112,8 @@ def simulate_placement(
     :mod:`repro.sim.fastpath` — identical serving decisions derived by
     index arithmetic over each segment's arrival array, ~``batch_size``×
     fewer iteration steps.  ``fast_path=False`` keeps the per-request
-    discrete-event engine as the naive reference (the perf harness checks
-    the two against each other on every recorded run).
+    discrete-event engine as the naive reference (the identity gates and
+    property tests check the two against each other).
 
     ``workers`` is the fast path's shard count: 0 and 1 run the single
     shard inline, N >= 2 fans the segments across N worker processes.

@@ -100,7 +100,10 @@ class TestConfig:
         config = load_config(root=tmp_path)
         assert config.is_identity_module(tmp_path / "src/repro/sim/engine.py")
         assert not config.is_identity_module(tmp_path / "src/repro/cli.py")
-        assert config.wallclock_allowed(tmp_path / "benchmarks/perf/harness.py")
+        assert config.wallclock_allowed(tmp_path / "src/repro/obs/wallclock.py")
+        assert not config.wallclock_allowed(
+            tmp_path / "benchmarks/perf/identity_gates.py"
+        )
 
     def test_repo_config_routes_this_repo(self):
         config = load_config(root=REPO_ROOT)

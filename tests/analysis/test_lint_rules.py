@@ -134,7 +134,7 @@ class TestD002:
     def test_allowlisted_file_is_quiet(self):
         src = "import time\nt0 = time.perf_counter()\n"
         assert codes(src, ALLOWED) == []
-        assert codes(src, ROOT / "benchmarks/perf/harness.py") == []
+        assert codes(src, ROOT / "src/repro/obs/wallclock.py") == []
 
     def test_disable_with_reason(self):
         src = (

@@ -5,8 +5,9 @@ import json
 from repro.core.service import Service
 from repro.obs import ObsHub, Tracer
 from repro.ops import FleetController
+from repro.ops.controller import assert_reports_identical
 from repro.ops.events import RateEpoch
-from repro.scenarios.ops import OPS_SEED, ops_run
+from repro.scenarios.ops import OPS_SEED, bench_ops_run, ops_run
 
 
 class TestTracer:
@@ -114,6 +115,23 @@ class TestReplayIdentity:
     def test_offline_wall_sidecars_are_zero(self, tmp_path):
         ctrl, _ = _traced_run(tmp_path, "t.json")
         assert all(sp.wall_s == 0.0 for sp in ctrl.obs.tracer.spans)
+
+    def test_recording_never_moves_a_fingerprint(self):
+        """The 100-service ops day, obs plane on vs off: recording is
+        sidecar-only, so every interval's fingerprints must match."""
+        run = bench_ops_run(100)
+
+        def replay(hub):
+            ctrl = FleetController(fast_path=True, seed=OPS_SEED, obs=hub)
+            report = ctrl.run(
+                run.services, run.timeline, run.horizon_s,
+                measure_s=0.25, warmup_s=0.1, sim_seed=OPS_SEED,
+            )
+            return ctrl, report
+
+        ctrl, on = replay(ObsHub())
+        assert ctrl.obs.tracer.spans
+        assert_reports_identical(on, replay(ObsHub(enabled=False))[1])
 
 
 class TestMemoSpans:

@@ -86,11 +86,11 @@ class TestBootstrapAndRates:
         assert report.gpu_hours == pytest.approx(rec.num_gpus * 2.0)
 
     def test_s10_diurnal_fleet_is_pinned(self, profiles):
-        """The S10 trace run (perf harness ``"autoscaler"`` row): 200
-        phase-shifted diurnal services over four epochs, one interval per
-        epoch, every epoch after bootstrap on the incremental path.  The
-        GPU counts and reconfiguration ops are the committed BENCH row's
-        (peak 119, mean 115.75, 2562 ops)."""
+        """The S10 trace run: 200 phase-shifted diurnal services over four
+        epochs, one interval per epoch, every epoch after bootstrap on the
+        incremental path.  The GPU counts and reconfiguration ops are the
+        frozen BENCH_schedule ``"autoscaler"`` row's (peak 119, mean
+        115.75, 2562 ops)."""
         services = fleet_services(200)
         timeline = rate_epochs(fleet_traces(services, epochs=4))
         report = controller(profiles, spare_shadow_gpus=2).run(
@@ -388,6 +388,28 @@ class TestStepApiOrdering:
         ctrl.begin(services, horizon_s=100.0)
         with pytest.raises(ValueError, match="beyond the horizon"):
             ctrl.step(100.0)
+        ctrl.finish()
+
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            ({"horizon_s": float("nan")}, "horizon"),
+            ({"horizon_s": float("inf")}, "horizon"),
+            ({"measure_s": -3.0}, "measure_s"),
+            ({"measure_s": float("nan")}, "measure_s"),
+            ({"measure_s": float("inf")}, "measure_s"),
+            ({"warmup_s": -3.0}, "warmup_s"),
+            ({"warmup_s": float("nan")}, "warmup_s"),
+            ({"warmup_s": float("inf")}, "warmup_s"),
+        ],
+    )
+    def test_malformed_run_parameters_raise(
+        self, profiles, services, kwargs, match
+    ):
+        ctrl = controller(profiles)
+        with pytest.raises(ValueError, match=match):
+            ctrl.begin(services, **{"horizon_s": 100.0, **kwargs})
+        ctrl.begin(services, horizon_s=100.0)  # nothing was left half-open
         ctrl.finish()
 
     def test_begin_step_finish_matches_run(self, profiles, services):

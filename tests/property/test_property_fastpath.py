@@ -7,6 +7,7 @@ heterogeneous scheduler), with allocation optimization on and off, the
 fast-path placement must fingerprint identically to the naive reference.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from repro.core.service import InfeasibleServiceError, Service
 from repro.gpu.geometry import get_geometry
 from repro.models.zoo import TABLE_IV_ORDER
 from repro.profiler import profile_workloads
+from repro.scenarios.fleet import fleet_services
 
 MIG = get_geometry("mig")
 MI300X = get_geometry("mi300x")
@@ -114,6 +116,23 @@ def test_incremental_paths_fast_path_identity():
         return updated.fingerprint(), recovered.placement.fingerprint()
 
     assert run(True) == run(False)
+
+
+@pytest.mark.parametrize("geometry_name", ["mig", "mi300x", "mixed"])
+def test_100_service_fleet_schedules_identically(geometry_name):
+    """A pinned case at fleet scale: the 100-service synthetic tier."""
+    def schedule(fast_path):
+        if geometry_name == "mixed":
+            scheduler = make_mixed_scheduler(fast_path=fast_path)
+        else:
+            scheduler = ParvaGPU(
+                PROFILES[geometry_name],
+                geometry=GEOMETRIES[geometry_name],
+                fast_path=fast_path,
+            )
+        return scheduler.schedule(fleet_services(100)).fingerprint()
+
+    assert schedule(True) == schedule(False)
 
 
 @given(service_lists)

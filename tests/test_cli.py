@@ -1,5 +1,7 @@
 """Tests for the ``parvagpu`` CLI."""
 
+import io
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -181,6 +183,57 @@ class TestServeGateway:
         events = [decode_event(line)
                   for line in rec.read_text().splitlines()]
         assert all(e.time_s < 600.0 for e in events)
+
+    def test_serve_virtual_check_binds_the_session_itself(
+        self, capsys, monkeypatch
+    ):
+        """--check-offline under the virtual clock compares the session
+        that ran, not a second replay: a corrupted session report fails."""
+        from repro.serve import ServeGateway
+
+        real_run = ServeGateway.run
+        sessions = []
+
+        async def corrupt_first(self, source):
+            report = await real_run(self, source)
+            if not sessions:
+                report.intervals[-1].fingerprint = "corrupt"
+            sessions.append(report)
+            return report
+
+        monkeypatch.setattr(ServeGateway, "run", corrupt_first)
+        assert (
+            main(["serve", "--scenario", "s12", "--clock", "virtual",
+                  "--horizon", "3000", "--measure", "0.1", "--workers", "2",
+                  "--check-offline"]) == 1
+        )
+        assert "IDENTITY CHECK FAILED" in capsys.readouterr().err
+        assert len(sessions) == 1
+
+    def test_serve_real_clock_check_replays_at_session_width(
+        self, capsys, monkeypatch
+    ):
+        import repro.serve
+
+        calls = []
+        monkeypatch.setattr(
+            repro.serve, "replay_identity_checked",
+            lambda *args, **kwargs: calls.append(kwargs),
+        )
+        assert (
+            main(["serve", "--scenario", "s12", "--horizon", "300",
+                  "--time-scale", "3000", "--measure", "0.05",
+                  "--no-status", "--workers", "1", "--check-offline"]) == 0
+        )
+        assert [kw["workers"] for kw in calls] == [1]
+
+    @pytest.mark.parametrize("flag", [["--check-offline"], ["--record", "x"]])
+    def test_serve_stdin_rejects_scripted_session_flags(
+        self, capsys, monkeypatch, flag
+    ):
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        assert main(["serve", "--scenario", "s12", "--stdin", *flag]) == 2
+        assert "--stdin" in capsys.readouterr().err
 
     def test_serve_live_serves_status_endpoint(self, capsys):
         assert (
